@@ -43,7 +43,7 @@ from .measures import (
     shannon_capacity,
     variational_objective,
 )
-from .optim import OptimizerConfig, OptimizerReport, maximize_on_simplex
+from .optim import OptimizerConfig, OptimizerReport
 from .oracle import ShatterSpec, definitional_leakage, estimator_gain_denominator, grid_search_inner
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "shannon_capacity",
     "OptimizerConfig",
     "OptimizerReport",
-    "maximize_on_simplex",
     "ShatterSpec",
     "grid_search_inner",
     "definitional_leakage",

@@ -29,13 +29,13 @@ values are nats throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Channel, LeakageValue, OrderPair, SimplexPoint
 from .errors import DegenerateInput, InvalidEntry, NumericalFailure, ShapeError
-from .optim import OptimizerConfig, OptimizerReport, maximize_on_simplex
+from .optim import OptimizerConfig, OptimizerReport, maximize_power_sum
 from ._logdomain import logsumexp as _logsumexp
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
     "optimal_q_y",
     "shannon_capacity",
 ]
-
-# Seed for the two random interior restarts of the concave path. Fixed so
-# every measure call is deterministic and reports are reproducible.
-_RESTART_SEED = 20260819
 
 _CAPACITY_MAX_ITERATIONS = 100_000
 
@@ -295,7 +291,7 @@ def _pairwise_sup_log_ratio(logP: np.ndarray):
 
 def _concave_path(channel: Channel, logP: np.ndarray, alpha: float, beta: float,
                   config: OptimizerConfig) -> MeasureResult:
-    """Certified simplex maximization over the reference inputs, beta < alpha."""
+    """Certified maximization over mixtures and reference inputs, beta < alpha."""
     n = channel.n_inputs
     if beta > 1.0:
         matrix = channel.matrix
@@ -305,41 +301,8 @@ def _concave_path(channel: Channel, logP: np.ndarray, alpha: float, beta: float,
             i = int(np.flatnonzero(matrix[:, y] == 0.0)[0])
             j = int(np.argmax(matrix[:, y]))
             return MeasureResult(LeakageValue(math.inf), i, SimplexPoint.point_mass(n, j), None)
-
-    # at beta = 1 the reference row carries exponent 0, so any x' serves
-    x_candidates = [0] if beta == 1.0 else range(n)
-    rng = np.random.default_rng(_RESTART_SEED)
-    first_start = config.initial_point  # None means uniform
-
-    total_iterations = 0
-    winner: OptimizerReport | None = None
-    winner_x = 0
-    worst_gap = 0.0
-    for x in x_candidates:
-        objective = _objective_factory(logP, alpha, beta, x)
-        starts = [first_start] + [SimplexPoint(rng.dirichlet(np.ones(n))) for _ in range(2)]
-        best: OptimizerReport | None = None
-        upper = math.inf
-        for start in starts:
-            report = maximize_on_simplex(objective, n, replace(config, initial_point=start))
-            total_iterations += report.iterations
-            upper = min(upper, report.value + report.certified_gap)
-            if best is None or report.value > best.value:
-                best = report
-        gap_x = max(upper - best.value, 0.0)
-        worst_gap = max(worst_gap, gap_x)
-        if winner is None or best.value > winner.value:
-            winner = best
-            winner_x = x
-    converged = worst_gap <= config.tolerance
-    report = OptimizerReport(
-        value=winner.value,
-        maximizer=winner.maximizer,
-        iterations=total_iterations,
-        certified_gap=worst_gap,
-        converged=converged,
-    )
-    return MeasureResult(LeakageValue(winner.value), winner_x, winner.maximizer, report)
+    x_prime, report = maximize_power_sum(logP, alpha, beta, config)
+    return MeasureResult(LeakageValue(report.value), x_prime, report.maximizer, report)
 
 
 def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
@@ -352,8 +315,8 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
     - alpha = inf, beta finite: closed form with the column maximum inside;
     - beta = inf, alpha finite: (alpha/(alpha-1)) times the sup log ratio;
     - beta >= alpha, both finite: vertex optimum, closed form over input pairs;
-    - beta < alpha: certified concave maximization per reference input,
-      three starts each (uniform plus two seeded random interior points).
+    - beta < alpha: certified concave maximization over mixtures, all
+      reference inputs at once (see :func:`chanleak.optim.maximize_power_sum`).
 
     Non-convergence of the concave path is reported through
     ``result.report.converged``, never silently.

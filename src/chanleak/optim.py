@@ -1,16 +1,20 @@
-"""Maximization of smooth concave functions over the probability simplex.
+"""The certified solver of the concave regime, beta < alpha.
 
-Frank-Wolfe style search: on the simplex the linearized subproblem is a
-vertex selection, so the linearization gap
+For finite orders beta < alpha the family value is
 
-    gap(p) = max_i g_i - <g, p>
+    max over x' of  pref * log max over p on the simplex of G(p),
+    G(p) = sum_y r(y) (A p)_y^c,
 
-is a free optimality certificate (for concave f, sup f - f(p) <= gap(p)).
-Steps move mass from the worst supported vertex onto the best vertex
-(pairwise steps), which keeps iterates exactly feasible without projection
-and avoids the zigzag stalls of the classic step near faces. The line
-search never evaluates the gradient at trial points and only accepts
-ascent, so the objective is non-decreasing across iterations.
+with A = P^alpha, r = P(x', .)^(1-beta), c = beta/alpha in (0, 1) and
+pref = alpha / ((alpha-1) beta). G is concave and homogeneous of degree c,
+so <p, grad G> = c G, and with ratio = grad G / (c G) concavity gives
+
+    G(p) <= max G <= G(p) + max grad G - <p, grad G> = G(p) (1 + c (max ratio - 1)),
+
+a bracket that holds at every p. The update p <- p * ratio^(1/(1-c)),
+renormalized, maximizes a lower bound of G that touches it at p (Jensen on
+t -> t^c), so G never decreases: the multiplicative scheme of Blahut and
+Arimoto, which Arimoto extended to order-alpha capacity.
 """
 
 from __future__ import annotations
@@ -23,24 +27,35 @@ import numpy as np
 from .core import SimplexPoint
 from .errors import NumericalFailure, ShapeError
 
-__all__ = ["OptimizerConfig", "OptimizerReport", "maximize_on_simplex"]
+__all__ = ["OptimizerConfig", "OptimizerReport", "maximize_power_sum"]
 
-# Bisection depth of the backtracking fallback; 2^-60 of a unit step is
-# below any useful resolution.
-_MAX_BACKTRACK = 60
+# The loop runs on to this fraction of the requested tolerance: the
+# iterate's shortfall below the supremum tracks its gap almost one to one,
+# so a value certified to the tolerance is also accurate to it.
+_MARGIN = 1e-2
+
+# Bracket ends are logs of sums over n + m terms; differences below this
+# many units in the last place of them are rounding, never a certificate.
+_ROUNDING_ULPS = 4.0
+_EPS = float(np.finfo(float).eps)
+
+# Every weight stays above e^-600 times the largest, so each reached
+# output keeps a mixture far above underflow and B^(c-1) stays finite,
+# even where reference weights underflowed to 0; a weight this small moves
+# no value by a representable amount.
+_LOG_WEIGHT_FLOOR = -600.0
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for :func:`maximize_on_simplex`.
+    """Knobs for :func:`maximize_power_sum`.
 
-    ``tolerance`` bounds the certified linearization gap at exit;
-    ``initial_point`` defaults to the uniform distribution.
+    ``tolerance`` bounds the certified gap at exit; ``max_iterations``
+    caps the number of multiplicative steps.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-9
-    initial_point: SimplexPoint | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -53,8 +68,9 @@ class OptimizerConfig:
 class OptimizerReport:
     """Outcome of a simplex maximization.
 
-    ``certified_gap`` is the linearization gap at ``maximizer``; ``converged``
-    holds exactly when that gap is within the configured tolerance.
+    ``certified_gap`` bounds how far ``value`` can sit below the true
+    supremum; ``converged`` holds exactly when that gap is within the
+    configured tolerance.
     """
 
     value: float
@@ -64,133 +80,62 @@ class OptimizerReport:
     converged: bool
 
 
-def _evaluate(objective, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    value, gradient = objective(weights)
-    value = float(value)
-    gradient = np.asarray(gradient, dtype=float)
-    if math.isnan(value) or np.any(np.isnan(gradient)):
-        raise NumericalFailure("objective produced NaN")
-    return value, gradient
+def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
+                       config: OptimizerConfig) -> tuple[int, OptimizerReport]:
+    """Maximize the family's inner expression over x' and p, for finite beta < alpha.
 
+    ``logP`` is the log of the channel matrix. At beta > 1 a zero entry in
+    a column that some input reaches makes the value +inf; the caller
+    settles that case before calling. All reference inputs run at once
+    (one, when beta = 1 and the reference row drops out); each step is two
+    matrix products in the column-scaled domain exp(alpha log P - column
+    max), where the largest entry of each column is 1 at any alpha.
 
-def _certified_gap(gradient: np.ndarray, point: np.ndarray) -> float:
-    if np.any(np.isinf(gradient)):
-        return math.inf
-    gap = float(np.max(gradient) - gradient @ point)
-    return max(gap, 0.0)
-
-
-def _line_search(value_of, f0: float, slope: float, t_max: float) -> tuple[float, float]:
-    """Pick a step in (0, t_max] with value above f0, favoring the 1-D maximum.
-
-    Tries the full step, then the maximizer of the parabola matching
-    (0, f0), slope at 0, and the full-step value, then bisects toward 0.
-    Returns (0.0, f0) if no ascent is found at any scale.
+    Returns the winning reference input (the last one among exact ties)
+    and the report of its mixture. The certified gap is the best upper
+    end of the brackets minus the reported value, never below the
+    rounding of the bracket ends. Non-convergence is reported, never raised.
     """
-    best_t, best_f = 0.0, f0
-    f_full = value_of(t_max)
-    if f_full > best_f:
-        best_t, best_f = t_max, f_full
-    if math.isfinite(f_full) and math.isfinite(slope):
-        denom = 2.0 * (f0 + slope * t_max - f_full)
-        if denom > 0.0:
-            t_fit = slope * t_max * t_max / denom
-            if 0.0 < t_fit < t_max:
-                f_fit = value_of(t_fit)
-                if f_fit > best_f:
-                    best_t, best_f = t_fit, f_fit
-    if best_t > 0.0:
-        return best_t, best_f
-    t = t_max
-    for _ in range(_MAX_BACKTRACK):
-        t *= 0.5
-        f_t = value_of(t)
-        if f_t > f0:
-            return t, f_t
-    return 0.0, f0
-
-
-def maximize_on_simplex(objective, dim: int, config: OptimizerConfig | None = None) -> OptimizerReport:
-    """Maximize a concave objective over the ``dim``-simplex.
-
-    Parameters
-    ----------
-    objective : callable
-        Maps a weight vector (1-D ndarray on the simplex) to a pair
-        ``(value, gradient)``. The gradient must be analytic; it is never
-        approximated here. +inf gradient entries are tolerated at faces
-        (the search moves off them), NaN raises NumericalFailure.
-    dim : int
-        Alphabet size; must match ``config.initial_point`` when given.
-    config : OptimizerConfig, optional
-
-    Returns
-    -------
-    OptimizerReport
-        Best point found, its value, the certified linearization gap and
-        the iteration count. Non-convergence is reported, never raised.
-    """
-    cfg = config or OptimizerConfig()
-    if dim < 1:
-        raise ShapeError(f"dimension must be >= 1, got {dim}")
-    if cfg.initial_point is None:
-        point = np.full(dim, 1.0 / dim)
-    else:
-        if len(cfg.initial_point) != dim:
-            raise ShapeError(
-                f"initial point has dimension {len(cfg.initial_point)}, expected {dim}"
-            )
-        point = cfg.initial_point.weights.copy()
-
-    value, gradient = objective(point)
-    value = float(value)
-    if not math.isfinite(value):
-        raise NumericalFailure("objective is not finite at the initial point")
-    gradient = np.asarray(gradient, dtype=float)
-    if np.any(np.isnan(gradient)):
-        raise NumericalFailure("gradient is NaN at the initial point")
-
-    if dim == 1:
-        return OptimizerReport(
-            value=value,
-            maximizer=SimplexPoint(np.array([1.0])),
-            iterations=0,
-            certified_gap=0.0,
-            converged=True,
-        )
-
-    gap = _certified_gap(gradient, point)
+    logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
+    n, m = logP.shape
+    c = beta / alpha
+    pref = alpha / ((alpha - 1.0) * beta)
+    colmax = logP.max(axis=0)
+    A = np.exp(alpha * (logP - colmax))
+    # r(y) times the column scale raised to c, one row per reference input
+    logR = beta * colmax[None, :] if beta == 1.0 else (1.0 - beta) * logP + beta * colmax
+    shift = logR.max(axis=1)
+    R = np.exp(logR - shift[:, None])
+    logp = np.zeros(R.shape[:1] + (n,))  # log weights up to a per-row constant
+    p = np.full_like(logp, 1.0 / n)
     iterations = 0
-    while gap > cfg.tolerance and iterations < cfg.max_iterations:
-        iterations += 1
-        towards = int(np.argmax(gradient))  # ties: lowest index
-        support = np.flatnonzero(point > 0.0)
-        away = int(support[np.argmin(gradient[support])])  # ties: lowest index
-        if towards == away:
-            break  # single-vertex support already optimal in this direction
-        slope = float(gradient[towards] - gradient[away])
-
-        def value_at(t: float, _s=towards, _a=away) -> float:
-            trial = point.copy()
-            trial[_s] += t
-            trial[_a] = max(trial[_a] - t, 0.0)
-            trial /= trial.sum()
-            v, _ = objective(trial)
-            return float(v)
-
-        step, new_value = _line_search(value_at, value, slope, float(point[away]))
-        if step == 0.0:
-            break  # no ascent at any scale: numerical plateau
-        point[towards] += step
-        point[away] = max(point[away] - step, 0.0)
-        point /= point.sum()
-        value, gradient = _evaluate(objective, point)
-        gap = _certified_gap(gradient, point)
-
-    return OptimizerReport(
+    # log(0) for an input whose scaled row underflowed to 0 meets the weight floor
+    with np.errstate(divide="ignore"):
+        while True:
+            B = p @ A
+            W = R * B ** (c - 1.0)
+            G = (W * B).sum(axis=1)
+            ratio = (W @ A.T) / G[:, None]
+            lower = pref * (np.log(G) + shift)
+            upper = lower + pref * np.log1p(c * (ratio.max(axis=1) - 1.0))
+            best = len(lower) - 1 - int(np.argmax(lower[::-1]))
+            value = float(lower[best])
+            floor = _ROUNDING_ULPS * (n + m) * _EPS * max(pref, abs(value))
+            gap = max(float(upper.max()) - value, floor)
+            if not math.isfinite(gap):
+                raise NumericalFailure("the power-sum bracket is not finite")
+            if gap <= max(config.tolerance * _MARGIN, floor) or iterations == config.max_iterations:
+                break
+            logp += np.log(ratio) / (1.0 - c)
+            logp = np.maximum(logp - logp.max(axis=1, keepdims=True), _LOG_WEIGHT_FLOOR)
+            p = np.exp(logp)
+            p /= p.sum(axis=1, keepdims=True)
+            iterations += 1
+    report = OptimizerReport(
         value=value,
-        maximizer=SimplexPoint(point),
+        maximizer=SimplexPoint(p[best]),
         iterations=iterations,
         certified_gap=gap,
-        converged=gap <= cfg.tolerance,
+        converged=gap <= config.tolerance,
     )
+    return best, report

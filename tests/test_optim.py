@@ -1,125 +1,92 @@
-"""Frank-Wolfe simplex maximizer: certificates, determinism, edge cases."""
-
-import math
+"""Concave-regime solver: certificates, ascent, determinism, edge cases."""
 
 import numpy as np
 import pytest
 
 from chanleak import (
-    NumericalFailure,
+    Channel,
     OptimizerConfig,
     OptimizerReport,
     OrderPair,
     ShapeError,
     SimplexPoint,
-    inner_gradient,
     inner_objective,
-    maximize_on_simplex,
+    maximal_alpha_beta_leakage,
     oracle,
 )
-from conftest import random_channel
-
-
-def neg_sum_of_squares(w):
-    return -float(w @ w), -2.0 * w
-
-
-def quadratic_well(target):
-    # strictly concave, maximum 0 at the interior point `target`
-    def objective(w):
-        d = w - target
-        return -float(d @ d), -2.0 * d
-
-    return objective
+from conftest import bsc, random_channel
 
 
 class TestBasics:
-    def test_symmetric_quadratic_stays_uniform(self):
-        report = maximize_on_simplex(neg_sum_of_squares, 3)
-        np.testing.assert_allclose(report.maximizer.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
-        assert report.value == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert report.converged
-
     def test_dim_one_is_immediate(self):
-        report = maximize_on_simplex(lambda w: (5.0, np.zeros(1)), 1)
+        # one input: the mixture is the reference row itself and the value is 0
+        report = maximal_alpha_beta_leakage(Channel(np.array([[0.2, 0.3, 0.5]])), OrderPair(4.0, 2.0)).report
         assert report.iterations == 0
         assert report.converged
+        assert report.value == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_array_equal(report.maximizer.weights, [1.0])
 
     def test_interior_well_is_found(self):
-        target = np.array([0.6, 0.3, 0.1])
-        report = maximize_on_simplex(quadratic_well(target), 3)
-        assert report.converged
-        np.testing.assert_allclose(report.maximizer.weights, target, atol=1e-4)
-        assert report.value == pytest.approx(0.0, abs=1e-8)
+        # two inputs: golden-section search of the log-domain objective on the
+        # segment locates the maximizing mixture independently
+        channel, pair = bsc(0.2), OrderPair(4.0, 2.0)
+        result = maximal_alpha_beta_leakage(channel, pair)
+
+        def f(t):
+            return inner_objective(channel, result.maximizing_x_prime, np.array([t, 1.0 - t]), pair)
+
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            a, b = hi - 0.618034 * (hi - lo), lo + 0.618034 * (hi - lo)
+            lo, hi = (a, hi) if f(a) < f(b) else (lo, b)
+        t = 0.5 * (lo + hi)
+        assert 0.0 < t < 1.0
+        np.testing.assert_allclose(result.maximizing_distribution.weights, [t, 1.0 - t], atol=1e-4)
+        assert result.value.nats == pytest.approx(f(t), abs=1e-10)
 
     def test_report_invariants(self):
-        report = maximize_on_simplex(quadratic_well(np.array([0.5, 0.5])), 2)
+        rng = np.random.default_rng(21)
+        result = maximal_alpha_beta_leakage(random_channel(rng, 4, 3), OrderPair(3.0, 1.5))
+        report = result.report
         assert isinstance(report, OptimizerReport)
-        assert report.certified_gap >= 0.0
+        assert report.value == result.value.nats
+        assert report.maximizer is result.maximizing_distribution
+        assert report.certified_gap > 0.0
         assert report.converged == (report.certified_gap <= 1e-9)
         assert abs(report.maximizer.weights.sum() - 1.0) < 1e-12
 
 
 class TestDeterministicSteps:
-    def test_linear_tie_breaks_to_lowest_index(self):
-        # constant gradient (1, 1, 0): the towards-vertex tie resolves to
-        # index 0, the away step empties index 2, one step certifies gap 0
-        g = np.array([1.0, 1.0, 0.0])
-        report = maximize_on_simplex(lambda w: (float(g @ w), g), 3)
-        assert report.iterations == 1
-        assert report.converged and report.certified_gap == 0.0
-        np.testing.assert_allclose(report.maximizer.weights, [2.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-12)
-        assert report.maximizer.weights[2] == 0.0
-
-    def test_linear_reaches_dominant_vertex(self):
-        g = np.array([1.0, 0.5, 0.0])
-        report = maximize_on_simplex(lambda w: (float(g @ w), g), 3)
-        assert report.iterations == 2
-        assert report.converged
-        np.testing.assert_allclose(report.maximizer.weights, [1.0, 0.0, 0.0], atol=1e-12)
-
     def test_monotone_ascent_across_iteration_budgets(self):
-        objective = quadratic_well(np.array([0.7, 0.2, 0.1]))
-        values = []
-        for budget in range(1, 12):
-            report = maximize_on_simplex(objective, 3, OptimizerConfig(max_iterations=budget))
-            values.append(report.value)
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        rng = np.random.default_rng(22)
+        channel = random_channel(rng, 3, 3)
+        for pair in (OrderPair(4.0, 2.0), OrderPair(2.0, 1.0)):
+            values = [
+                maximal_alpha_beta_leakage(channel, pair, OptimizerConfig(max_iterations=budget)).value.nats
+                for budget in range(1, 12)
+            ]
+            assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_value_dominates_every_vertex(self):
-        target = np.array([0.15, 0.25, 0.6])
-        objective = quadratic_well(target)
-        report = maximize_on_simplex(objective, 3)
-        for i in range(3):
-            vertex_value, _ = objective(np.eye(3)[i])
-            assert report.value >= vertex_value - 1e-9
+        # structural zeros keep beta = 1 finite and leave some outputs unreached by a vertex
+        channel = Channel(np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.2, 0.2, 0.6]]))
+        for pair in (OrderPair(2.0, 1.0), OrderPair(1e6, 1.0), OrderPair(1.5, 1.0)):
+            value = maximal_alpha_beta_leakage(channel, pair).value.nats
+            for xp in range(3):
+                for x in range(3):
+                    vertex = inner_objective(channel, xp, SimplexPoint.point_mass(3, x), pair)
+                    assert value >= vertex - 1e-9
 
     def test_repeated_runs_identical(self):
-        objective = quadratic_well(np.array([0.3, 0.3, 0.4]))
-        a = maximize_on_simplex(objective, 3)
-        b = maximize_on_simplex(objective, 3)
-        assert a.value == b.value and a.iterations == b.iterations
+        rng = np.random.default_rng(23)
+        channel = random_channel(rng, 5, 4)
+        a = maximal_alpha_beta_leakage(channel, OrderPair(3.0, 1.5)).report
+        b = maximal_alpha_beta_leakage(channel, OrderPair(3.0, 1.5)).report
+        assert (a.value, a.iterations, a.certified_gap) == (b.value, b.iterations, b.certified_gap)
         np.testing.assert_array_equal(a.maximizer.weights, b.maximizer.weights)
 
 
 class TestConfig:
-    def test_initial_point_respected(self):
-        start = SimplexPoint(np.array([0.9, 0.1]))
-        seen = []
-
-        def objective(w):
-            seen.append(w.copy())
-            return -float(w @ w), -2.0 * w
-
-        maximize_on_simplex(objective, 2, OptimizerConfig(initial_point=start))
-        np.testing.assert_array_equal(seen[0], [0.9, 0.1])
-
-    def test_initial_point_dimension_checked(self):
-        cfg = OptimizerConfig(initial_point=SimplexPoint.uniform(3))
-        with pytest.raises(ShapeError):
-            maximize_on_simplex(neg_sum_of_squares, 2, cfg)
-
     def test_bad_config_rejected(self):
         with pytest.raises(ShapeError):
             OptimizerConfig(max_iterations=0)
@@ -128,80 +95,44 @@ class TestConfig:
         with pytest.raises(ShapeError):
             OptimizerConfig(tolerance=-1e-9)
 
-    def test_bad_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            maximize_on_simplex(neg_sum_of_squares, 0)
-
     def test_iteration_budget_reported_honestly(self):
-        objective = quadratic_well(np.array([0.7, 0.2, 0.1]))
-        report = maximize_on_simplex(objective, 3, OptimizerConfig(max_iterations=1))
+        rng = np.random.default_rng(24)
+        channel = random_channel(rng, 3, 3)
+        report = maximal_alpha_beta_leakage(channel, OrderPair(4.0, 2.0), OptimizerConfig(max_iterations=1)).report
         assert report.iterations == 1
-        assert not report.converged
+        assert report.converged is False
 
 
-class TestFailureModes:
-    def test_nonfinite_initial_value(self):
-        with pytest.raises(NumericalFailure):
-            maximize_on_simplex(lambda w: (-math.inf, np.zeros(3)), 3)
+class TestCertificate:
+    @pytest.mark.parametrize("pair", [OrderPair(4.0, 2.0), OrderPair(2.0, 1.0)])
+    def test_default_tolerance_is_certified_on_ten_inputs(self, pair):
+        rng = np.random.default_rng(10)
+        report = maximal_alpha_beta_leakage(random_channel(rng, 10, 10), pair, OptimizerConfig()).report
+        assert report.converged is True
+        assert report.certified_gap <= 1e-9
 
-    def test_nan_initial_gradient(self):
-        with pytest.raises(NumericalFailure):
-            maximize_on_simplex(lambda w: (0.0, np.full(3, math.nan)), 3)
-
-    def test_nan_trial_is_a_rejected_step(self):
-        # NaN seen only inside the line search reads as "no ascent here";
-        # the loop stops on the plateau instead of raising
-        calls = {"n": 0}
-
-        def objective(w):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                return math.nan, np.zeros(3)
-            g = np.array([1.0, 0.5, 0.0])
-            return float(g @ w), g
-
-        report = maximize_on_simplex(objective, 3)
-        assert not report.converged
-
-    def test_nan_at_accepted_point_raises(self):
-        # call 1: initial evaluation; call 2: line-search trial (value only);
-        # call 3: re-evaluation at the accepted step, where NaN must raise
-        calls = {"n": 0}
-        g = np.array([1.0, 0.5, 0.0])
-
-        def objective(w):
-            calls["n"] += 1
-            if calls["n"] >= 3:
-                return float(g @ w), np.full(3, math.nan)
-            return float(g @ w), g
-
-        with pytest.raises(NumericalFailure):
-            maximize_on_simplex(objective, 3)
+    def test_unreachable_tolerance_is_not_certified(self):
+        # the gap never reads below the rounding of its bracket ends
+        channel = Channel(np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]))
+        config = OptimizerConfig(tolerance=1e-18)
+        report = maximal_alpha_beta_leakage(channel, OrderPair(2.0, 1.0), config).report
+        assert report.converged is False
+        assert report.certified_gap > 0.0
+        assert report.value == pytest.approx(0.341556946085, abs=1e-9)
 
 
 class TestAgainstGridOracle:
     def test_inner_objective_matches_grid(self):
-        # the one search-backed dispatch case, pinned to a single channel;
-        # the grid is a lower bound of the supremum truncated at ~1e-4
+        # the reported (x', p) reproduces the value under the log-domain
+        # objective, and the grid is a lower bound of the supremum truncated at ~1e-4
         rng = np.random.default_rng(3)
         channel = random_channel(rng, 3, 3)
         pair = OrderPair(4.0, 2.0)
-
-        # value differences below ~1e-9 are not representable along the
-        # ascent path, so certify a slightly looser gap than the default
-        config = OptimizerConfig(tolerance=1e-8)
-        best = -math.inf
-        for x_prime in range(channel.n_inputs):
-            def objective(w, _x=x_prime):
-                return (
-                    inner_objective(channel, _x, w, pair),
-                    inner_gradient(channel, _x, w, pair),
-                )
-
-            report = maximize_on_simplex(objective, channel.n_inputs, config)
-            assert report.converged
-            best = max(best, report.value)
+        result = maximal_alpha_beta_leakage(channel, pair, OptimizerConfig(tolerance=1e-8))
+        assert result.report.converged
+        direct = inner_objective(channel, result.maximizing_x_prime, result.maximizing_distribution, pair)
+        assert direct == pytest.approx(result.value.nats, abs=1e-12)
 
         grid = oracle.grid_search_inner(channel, pair, 200).nats
-        assert best >= grid - 1e-9
-        assert best == pytest.approx(grid, abs=1e-4)
+        assert result.value.nats >= grid - 1e-9
+        assert result.value.nats == pytest.approx(grid, abs=1e-4)
