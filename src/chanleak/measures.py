@@ -17,13 +17,21 @@ beta = alpha, local differential privacy at alpha = beta = inf, maximal
 leakage at (inf, 1), and channel capacity in the alpha -> 1 limit (served
 by a dedicated routine).
 
-Zero conventions, applied everywhere: 0^0 = 1 (at beta = 1 the reference
-row drops out), and a zero reference entry P(y|x') = 0 raised to the
-negative power 1 - beta < 0 yields +inf when the alpha-mixture at y is
-positive but contributes nothing when the mixture is zero as well.
+Every closed form and inner evaluation here is one power sum
+sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain, and all of
+them go through one chunked kernel, ``_power_table``: beta >= alpha
+collapses it to pairs of rows, alpha = inf puts the column maximum in the
+numerator, and beta = inf turns it into the sup log ratio (a max over y in
+place of the log-sum-exp). The zero conventions are written once, in its
+``_log_terms``: 0^0 = 1 (at beta = 1 the reference row drops out), and a
+zero reference entry P(y|x') = 0 raised to the negative power 1 - beta < 0
+yields +inf when the alpha-mixture at y is positive but contributes
+nothing when the mixture is zero as well. Two places keep their own rule
+on purpose: the solver in :mod:`chanleak.optim` works in the linear
+domain, and :mod:`chanleak.oracle` stays independent of this module so
+that its agreement with the fast paths is evidence.
 
-All sums are evaluated in the log domain with max-shifted log-sum-exp;
-values are nats throughout.
+Log-sum-exp is max-shifted; values are nats throughout.
 """
 
 from __future__ import annotations
@@ -108,76 +116,69 @@ def _check_x_prime(x_prime: int, n: int) -> int:
     return x
 
 
-def _objective_factory(logP: np.ndarray, alpha: float, beta: float, x_prime: int):
-    """Build the (value, gradient) callable for the inner objective at fixed x'.
+def _prefactor(alpha: float, beta: float) -> float:
+    """alpha / ((alpha-1) beta), divided in turn: the product (alpha-1) beta
+    overflows to inf at huge finite orders, which would make it 0."""
+    return alpha / (alpha - 1.0) / beta
 
-    The gradient of the log term is
 
-        g_x = (1/(alpha-1)) * (1/S) * sum_y P(y|x')^(1-beta)
-              * B(y)^(beta/alpha - 1) * P(y|x)^alpha,
-        B(y) = sum_x p(x) P(y|x)^alpha,  S = the sum inside the log,
+# Reference rows per chunk are chosen so that one chunk of terms holds
+# about this many entries; it bounds the memory of every closed form.
+_CHUNK_ELEMENTS = 1 << 20
 
-    assembled in the log domain. Outputs whose alpha-mixture vanishes
-    while the channel still reaches them make the one-sided derivative
-    +inf for every input that covers them (when beta < alpha); those
-    entries are reported as +inf so a search can leave such a face.
+
+def _log_terms(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float) -> np.ndarray:
+    """The (K, L, m) terms ref_exp log ref_i(y) + num_exp log num_j(y) of a power sum.
+
+    ``ref`` (K, m) and ``num`` (L, m) hold the logs of nonnegative rows;
+    ref_exp <= 0 < num_exp. The zero conventions are written here and
+    nowhere else in this module: a zero numerator entry kills its term; a
+    zero reference entry against a positive numerator sends the term to
+    +inf when ref_exp < 0; and 0^0 = 1, so at ref_exp == 0 the reference
+    row drops out without forming 0 * log 0.
     """
-    n, m = logP.shape
-    alogP = alpha * logP
-    pref = alpha / ((alpha - 1.0) * beta)
-    ba = beta / alpha
-    xp = logP[x_prime]
-    xp_dead = np.isneginf(xp)
-    col_alive = ~np.all(np.isneginf(logP), axis=0)
+    num_part = num_exp * num  # -inf at a zero numerator, since num_exp > 0
+    if ref_exp == 0.0:
+        return np.broadcast_to(num_part, (ref.shape[0],) + num.shape)
+    with np.errstate(invalid="ignore"):
+        terms = (ref_exp * ref)[:, None, :] + num_part[None, :, :]
+    np.copyto(terms, np.inf, where=np.isneginf(ref)[:, None, :])
+    np.copyto(terms, -np.inf, where=np.isneginf(num)[None, :, :])
+    return terms
 
-    def value_and_gradient(w: np.ndarray) -> tuple[float, np.ndarray]:
-        with np.errstate(divide="ignore"):
-            logw = np.log(w)
-        mix = _logsumexp(logw[:, None] + alogP, axis=0)  # (m,) log B(y)
-        alive = ~np.isneginf(mix)
-        if beta == 1.0:
-            T = ba * mix
-        else:
-            if np.any(alive & xp_dead):
-                # reference row structurally misses an output the mixture reaches
-                return math.inf, np.full(n, np.nan)
-            T = np.where(
-                alive,
-                (1.0 - beta) * np.where(alive, xp, 0.0) + ba * np.where(alive, mix, 0.0),
-                -np.inf,
-            )
-        logS = _logsumexp(T)
-        value = pref * logS
 
-        coef = np.zeros(m)
-        coef[alive] = (ba - 1.0) * mix[alive]
-        if beta != 1.0:
-            coef[alive] += (1.0 - beta) * xp[alive]
-        use = alive.copy()
-        if beta == alpha and beta != 1.0:
-            # a starved output still contributes linearly when beta == alpha
-            extra = (~alive) & col_alive & ~xp_dead
-            if np.any(extra):
-                coef[extra] = (1.0 - beta) * xp[extra]
-                use |= extra
-        cols = np.flatnonzero(use)
-        terms = alogP[:, cols] + coef[cols][None, :]
-        with np.errstate(over="ignore"):
-            # near a vertex the off-support entries blow up; +inf is the honest answer
-            gradient = np.exp(_logsumexp(terms, axis=1) - logS) / (alpha - 1.0)
+def _power_table(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float,
+                 reduce=_logsumexp) -> np.ndarray:
+    """The (K, L) table of ``reduce`` over y of :func:`_log_terms`.
 
-        if beta < alpha:
-            starved = (~alive) & col_alive
-        elif beta == alpha:
-            starved = (~alive) & col_alive & xp_dead
-        else:
-            starved = None
-        if starved is not None and np.any(starved):
-            covering = np.any(np.isfinite(logP[:, starved]), axis=1)
-            gradient[covering] = math.inf
-        return value, gradient
+    ``reduce`` is log-sum-exp for a power sum and ``np.max`` for a sup log
+    ratio. The terms are built a chunk of reference rows at a time, so the
+    memory in use stays near ``_CHUNK_ELEMENTS`` entries whatever K is.
+    """
+    n_num, m = num.shape
+    step = max(1, _CHUNK_ELEMENTS // (n_num * m))
+    table = np.empty((ref.shape[0], n_num))
+    for start in range(0, ref.shape[0], step):
+        table[start:start + step] = reduce(_log_terms(ref[start:start + step], ref_exp, num, num_exp), axis=2)
+    return table
 
-    return value_and_gradient
+
+def _first_max(table: np.ndarray) -> tuple[float, int, int]:
+    """The largest entry of a 2-D table and its index, first in row-major order."""
+    i, j = divmod(int(np.argmax(table)), table.shape[1])
+    return float(table[i, j]), i, j
+
+
+def _log_mixture(logP: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    """log B(y) = log sum_x w(x) P(y|x)^alpha; -inf where no weighted input reaches y."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    return _logsumexp(logw[:, None] + alpha * logP, axis=0)
+
+
+def _inner_log_sum(logP: np.ndarray, mix: np.ndarray, x_prime: int, alpha: float, beta: float) -> float:
+    """log S = log sum_y P(y|x')^(1-beta) B(y)^(beta/alpha), with log B = ``mix``."""
+    return float(_power_table(logP[x_prime:x_prime + 1], 1.0 - beta, mix[None, :], beta / alpha)[0, 0])
 
 
 def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -> float:
@@ -204,8 +205,9 @@ def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -
         raise InvalidEntry("inner_objective requires finite orders; infinite orders have closed forms")
     x = _check_x_prime(x_prime, channel.n_inputs)
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
-    value, _ = _objective_factory(_log_matrix(channel.matrix), order.alpha, order.beta, x)(w)
-    return value
+    a, b = order.alpha, order.beta
+    logP = _log_matrix(channel.matrix)
+    return _prefactor(a, b) * _inner_log_sum(logP, _log_mixture(logP, w, a), x, a, b)
 
 
 def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -> np.ndarray:
@@ -213,7 +215,17 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
 
     Requires beta <= alpha (the regime where the objective is concave and
     the gradient is used); a non-finite intermediate raises
-    NumericalFailure rather than returning garbage.
+    NumericalFailure rather than returning garbage. The gradient is
+
+        g_x = (1/(alpha-1)) * (1/S) * sum_y P(y|x')^(1-beta)
+              * B(y)^(beta/alpha - 1) * P(y|x)^alpha,
+        B(y) = sum_x p(x) P(y|x)^alpha,  S = the sum inside the log,
+
+    assembled in the log domain. Outputs whose alpha-mixture vanishes
+    while the channel still reaches them make the one-sided derivative
+    +inf for every input that covers them (when beta < alpha, or when
+    beta == alpha and the reference row misses them too), so such a
+    point raises.
     """
     if order.alpha_infinite or order.beta_infinite:
         raise InvalidEntry("inner_gradient requires finite orders")
@@ -221,72 +233,57 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
         raise InvalidEntry(f"inner_gradient requires beta <= alpha, got {order.beta} > {order.alpha}")
     x = _check_x_prime(x_prime, channel.n_inputs)
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
-    value, gradient = _objective_factory(_log_matrix(channel.matrix), order.alpha, order.beta, x)(w)
-    if not math.isfinite(value) or not np.all(np.isfinite(gradient)):
+    alpha, beta = order.alpha, order.beta
+    logP = _log_matrix(channel.matrix)
+    mix = _log_mixture(logP, w, alpha)
+    logS = _inner_log_sum(logP, mix, x, alpha, beta)
+    if not math.isfinite(logS):
+        raise NumericalFailure("inner objective is not differentiable at this point")
+
+    ba = beta / alpha
+    xp = logP[x]
+    xp_dead = np.isneginf(xp)
+    col_alive = ~np.all(np.isneginf(logP), axis=0)
+    alive = ~np.isneginf(mix)
+    coef = np.zeros(logP.shape[1])
+    coef[alive] = (ba - 1.0) * mix[alive]
+    if beta != 1.0:
+        coef[alive] += (1.0 - beta) * xp[alive]
+    use = alive.copy()
+    if beta == alpha:
+        # a starved output still contributes linearly when beta == alpha
+        extra = (~alive) & col_alive & ~xp_dead
+        coef[extra] = (1.0 - beta) * xp[extra]
+        use |= extra
+    cols = np.flatnonzero(use)
+    terms = alpha * logP[:, cols] + coef[cols][None, :]
+    with np.errstate(over="ignore"):
+        # near a vertex the off-support entries blow up; +inf is the honest answer
+        gradient = np.exp(_logsumexp(terms, axis=1) - logS) / (alpha - 1.0)
+    starved = (~alive) & col_alive
+    if beta == alpha:
+        starved &= xp_dead
+    if np.any(starved):
+        gradient[np.any(np.isfinite(logP[:, starved]), axis=1)] = math.inf
+    if not np.all(np.isfinite(gradient)):
         raise NumericalFailure("inner objective is not differentiable at this point")
     return gradient
 
 
 def _pairwise_power_form(logP: np.ndarray, ref_exp: float, num_exp: float, pref: float):
-    """max over input pairs (x', x) of pref * log sum_y P(y|x')^ref_exp P(y|x)^num_exp.
-
-    Zero conventions: a zero numerator entry kills its term outright; a
-    zero reference entry against a positive numerator sends the term to
-    +inf when ref_exp < 0 (and is simply absent from the product when
-    ref_exp == 0).
-    """
-    n = logP.shape[0]
-    dead = np.isneginf(logP)
-    num_part = num_exp * logP
-    if ref_exp == 0.0:
-        T = np.broadcast_to(np.where(dead, -np.inf, num_part)[None, :, :], (n, n, logP.shape[1]))
-    else:
-        ref_part = ref_exp * logP  # +inf at zeros since ref_exp < 0
-        with np.errstate(invalid="ignore"):
-            combined = ref_part[:, None, :] + num_part[None, :, :]
-        T = np.where(
-            dead[None, :, :],
-            -np.inf,
-            np.where(dead[:, None, :], np.inf, combined),
-        )
-    values = pref * _logsumexp(T, axis=2)
-    flat = int(np.argmax(values))
-    i, j = divmod(flat, n)
-    return float(values[i, j]), int(i), int(j)
+    """max over input pairs (x', x) of pref * log sum_y P(y|x')^ref_exp P(y|x)^num_exp."""
+    return _first_max(pref * _power_table(logP, ref_exp, logP, num_exp))
 
 
 def _alpha_inf_form(logP: np.ndarray, beta: float):
     """max over x' of (1/beta) * log sum_y P(y|x')^(1-beta) * max_x P(y|x)^beta."""
-    n = logP.shape[0]
-    colmax = logP.max(axis=0)
-    values = np.empty(n)
-    for i in range(n):
-        if beta == 1.0:
-            T = colmax
-        else:
-            xp = logP[i]
-            with np.errstate(invalid="ignore"):
-                combined = (1.0 - beta) * xp + beta * colmax
-            T = np.where(
-                np.isneginf(colmax),
-                -np.inf,
-                np.where(np.isneginf(xp), np.inf, combined),
-            )
-        values[i] = _logsumexp(T)
-    best = int(np.argmax(values))
-    return float(values[best]) / beta, best
+    value, i, _ = _first_max(_power_table(logP, 1.0 - beta, logP.max(axis=0)[None, :], beta))
+    return value / beta, i
 
 
 def _pairwise_sup_log_ratio(logP: np.ndarray):
     """max over (x', x) of log max over y with P(y|x) > 0 of P(y|x) / P(y|x')."""
-    n = logP.shape[0]
-    dead = np.isneginf(logP)
-    with np.errstate(invalid="ignore"):
-        diff = logP[None, :, :] - logP[:, None, :]  # (x', x, y)
-    ratios = np.where(dead[None, :, :], -np.inf, diff).max(axis=2)
-    flat = int(np.argmax(ratios))
-    i, j = divmod(flat, n)
-    return float(ratios[i, j]), int(i), int(j)
+    return _first_max(_power_table(logP, -1.0, logP, 1.0, np.max))
 
 
 def _concave_path(channel: Channel, logP: np.ndarray, alpha: float, beta: float,
@@ -334,7 +331,7 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
         ratio, i, j = _pairwise_sup_log_ratio(logP)
         return MeasureResult(LeakageValue(a / (a - 1.0) * ratio), i, SimplexPoint.point_mass(n, j), None)
     if b >= a:
-        value, i, j = _pairwise_power_form(logP, 1.0 - b, b, a / ((a - 1.0) * b))
+        value, i, j = _pairwise_power_form(logP, 1.0 - b, b, _prefactor(a, b))
         return MeasureResult(LeakageValue(value), i, SimplexPoint.point_mass(n, j), None)
     return _concave_path(channel, logP, a, b, config or OptimizerConfig())
 
@@ -426,9 +423,9 @@ def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
     q = _weights_argument(q_y, channel.n_outputs, "q_y")
 
+    # the sum over x is the alpha-mixture B(y), leaving a power sum over y
     logP = _log_matrix(channel.matrix)
     with np.errstate(divide="ignore"):
-        logw = np.log(w)
         logq = np.log(q)
     xp = logP[x]
     if t == 0.0:
@@ -437,10 +434,8 @@ def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
         anchor = logq
     else:
         anchor = t * logq + (1.0 - t) * xp  # -inf propagates, no 0 * inf possible
-    with np.errstate(invalid="ignore"):
-        base = logw[:, None] + a * logP + (1.0 - a) * anchor[None, :]
-    T = np.where(np.isneginf(logP) | np.isneginf(logw)[:, None], -np.inf, base)
-    return _logsumexp(T) / (a - 1.0)
+    mix = _log_mixture(logP, w, a)
+    return float(_power_table(anchor[None, :], 1.0 - a, mix[None, :], 1.0)[0, 0]) / (a - 1.0)
 
 
 def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: float) -> SimplexPoint:
@@ -461,18 +456,13 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
 
     logP = _log_matrix(channel.matrix)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
     xp = logP[x]
     ref_exp = (1.0 - t) * (1.0 - a)  # <= 0, zero exactly at tau = 1
     if ref_exp != 0.0 and np.any(np.isneginf(xp) & ~np.all(np.isneginf(logP), axis=0)):
         raise DegenerateInput(
             "reference row has a structural zero at a reachable output; the minimizing output law degenerates"
         )
-    with np.errstate(invalid="ignore"):
-        base = logw[:, None] + a * logP + (ref_exp * xp)[None, :] if ref_exp != 0.0 else logw[:, None] + a * logP
-    T = np.where(np.isneginf(logP) | np.isneginf(logw)[:, None], -np.inf, base)
-    logC = _logsumexp(T, axis=0)
+    logC = _log_terms(xp[None, :], ref_exp, _log_mixture(logP, w, a)[None, :], 1.0)[0, 0]
     if np.all(np.isneginf(logC)):
         raise DegenerateInput("every output weight C(y) vanished")
     scale = 1.0 / (1.0 + t * (a - 1.0))  # 1 / (1 - gamma)

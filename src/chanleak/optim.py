@@ -99,7 +99,7 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
     n, m = logP.shape
     c = beta / alpha
-    pref = alpha / ((alpha - 1.0) * beta)
+    pref = alpha / (alpha - 1.0) / beta  # (alpha-1) beta overflows at huge orders
     colmax = logP.max(axis=0)
     A = np.exp(alpha * (logP - colmax))
     # r(y) times the column scale raised to c, one row per reference input

@@ -1,6 +1,7 @@
 """Leakage measures: frozen anchors, dispatch equalities, zero conventions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from chanleak import (
     shannon_capacity,
     variational_objective,
 )
+from chanleak import measures
 from conftest import bsc, random_channel
 
 LOG4 = math.log(4.0)
@@ -382,3 +384,74 @@ class TestArgumentChecking:
         rng = np.random.default_rng(27)
         ch = random_channel(rng, 3, 4)
         assert lrdp_variant(ch, 1.0).nats == pytest.approx(maximal_leakage(ch).nats, abs=1e-13)
+
+
+class TestHugeOrders:
+    def test_prefactor_does_not_overflow(self):
+        # (alpha-1) beta overflows to inf here; the prefactor must not become 0
+        channel = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        betas = (1.0, 1e199, 1e200, 3e200, math.inf)
+        values = [maximal_alpha_beta_leakage(channel, OrderPair(1e200, b)).value.nats for b in betas]
+        assert all(later >= earlier - 1e-12 for earlier, later in zip(values, values[1:]))
+        assert values[2] == pytest.approx(lrdp(channel, 1e200).nats, abs=1e-12)
+
+
+KERNEL_CHANNELS = (
+    np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.3, 0.0, 0.7]]),  # structural zeros
+    np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.6, 0.4, 0.0]]),  # duplicated rows, dead column
+    np.array([[0.2, 0.3, 0.5]]),  # 1 x m
+    np.ones((3, 1)),  # n x 1
+)
+CLOSED_PAIRS = (
+    OrderPair(math.inf, math.inf),
+    OrderPair(math.inf, 1.0),
+    OrderPair(math.inf, 2.5),
+    OrderPair(1.5, math.inf),
+    OrderPair(2.0, 2.0),
+    OrderPair(2.0, 3.0),
+)
+
+
+def _kernel_outputs():
+    rng = np.random.default_rng(11)
+    dense = rng.dirichlet(np.ones(5), size=7)
+    dense[dense < 0.1] = 0.0
+    out = []
+    for matrix in (*KERNEL_CHANNELS, dense / dense.sum(axis=1, keepdims=True)):
+        channel = Channel(matrix)
+        for pair in CLOSED_PAIRS:
+            r = maximal_alpha_beta_leakage(channel, pair)
+            point = r.maximizing_distribution
+            out.append((r.value.nats, r.maximizing_x_prime, None if point is None else point.weights.tolist()))
+        out += [lrdp(channel, 2.0).nats, lrdp_variant(channel, 1.0).nats, lrdp_variant(channel, 3.0).nats]
+        w = np.linspace(1.0, 2.0, channel.n_inputs)
+        for pair in (OrderPair(2.0, 1.0), OrderPair(4.0, 2.0), OrderPair(2.0, 3.0)):
+            out += [inner_objective(channel, x, w, pair) for x in range(channel.n_inputs)]
+    return out
+
+
+class TestPowerSumKernel:
+    def test_chunk_boundaries_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(measures, "_CHUNK_ELEMENTS", 1)
+        one_row = _kernel_outputs()
+        monkeypatch.setattr(measures, "_CHUNK_ELEMENTS", 10**9)
+        whole_table = _kernel_outputs()
+        assert one_row == whole_table
+
+    def test_closed_forms_stay_within_a_memory_bound(self):
+        channel = random_channel(np.random.default_rng(2026), 200, 200)
+        calls = {
+            "(2, 3)": lambda: maximal_alpha_beta_leakage(channel, OrderPair(2.0, 3.0)),
+            "(2, inf)": lambda: maximal_alpha_beta_leakage(channel, OrderPair(2.0, math.inf)),
+            "(inf, inf)": lambda: maximal_alpha_beta_leakage(channel, OrderPair(math.inf, math.inf)),
+            "lrdp 2": lambda: lrdp(channel, 2.0),
+        }
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - before < 64 * 2**20, name
+        finally:
+            tracemalloc.stop()
