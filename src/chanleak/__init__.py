@@ -31,6 +31,7 @@ from .errors import (
 from .measures import (
     MeasureResult,
     alpha_tau_leakage,
+    alpha_tau_order,
     inner_gradient,
     inner_objective,
     ldp,
@@ -73,6 +74,7 @@ __all__ = [
     "ldp",
     "lrdp",
     "lrdp_variant",
+    "alpha_tau_order",
     "alpha_tau_leakage",
     "inner_objective",
     "inner_gradient",

@@ -6,18 +6,24 @@ invariant battery against given or seeded random channels. Values print
 in nats by default with twelve digits after the point; ``inf`` is both
 accepted and emitted as a literal for the infinite orders.
 
+``sweep`` builds the order pair of every grid cell (through
+:func:`chanleak.alpha_tau_order` for a tau grid) before it solves any, so
+an illegal entry anywhere in the grid exits 2 with nothing written.
+``verify`` reads every family value through one per-run cache, so each
+distinct (channel, order) is solved once however many properties use it.
+
 Exit codes: 0 success, 2 bad input (unparseable channel, illegal
 parameters, unwritable output), 3 the value was computed and printed but
 the simplex search could not certify convergence at the requested
-tolerance (a warning goes to stderr).
+tolerance (a warning naming the certified gap goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .errors import ChanleakError
 from .measures import (
     MeasureResult,
     alpha_tau_leakage,
+    alpha_tau_order,
     inner_objective,
     ldp,
     lrdp,
@@ -48,39 +55,11 @@ from .measures import (
 )
 from .optim import OptimizerConfig
 
-__all__ = ["SweepSpec", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _LN2 = math.log(2.0)
 
 MEASURES = ("abl", "maxl", "max-alpha-l", "ldp", "lrdp", "lrdp-variant", "alpha-tau", "capacity")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A rectangular parameter grid: alphas crossed with betas or with taus.
-
-    Emitted files are always in nats (the header is pinned to
-    ``value_nats``).
-    """
-
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...] | None = None
-    taus: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.betas is None) == (self.taus is None):
-            raise ValueError("exactly one of betas/taus must be given")
-        if len(self.alphas) == 0 or len(self.betas or self.taus) == 0:
-            raise ValueError("sweep lists must be non-empty")
-        for a in self.alphas:
-            OrderPair(a, 1.0)
-        if self.betas is not None:
-            for b in self.betas:
-                OrderPair(2.0, b)
-        else:
-            for t in self.taus:
-                if math.isnan(t) or not 0.0 <= t <= 1.0:
-                    raise ValueError(f"tau must lie in [0, 1], got {t!r}")
 
 
 def _extended(text: str) -> float:
@@ -131,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tau", type=_finite_list, default=None, metavar="LIST",
                        help="comma-separated taus in [0, 1]")
     sweep.add_argument("--out", default=None, help="output CSV path (stdout when omitted)")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect (cells are evaluated serially)")
     sweep.add_argument("--tolerance", type=float, default=None)
 
     verify = sub.add_parser("verify", help="run the invariant battery")
@@ -222,28 +199,13 @@ def cmd_compute(args: argparse.Namespace, error) -> int:
     return 0
 
 
-def _sweep_cells(spec: SweepSpec) -> list[tuple[float, float]]:
-    second = spec.betas if spec.betas is not None else spec.taus
-    return [(a, s) for a in spec.alphas for s in second]
-
-
-def cmd_sweep(args: argparse.Namespace, error) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     channel = read_channel_csv(args.channel)
-    try:
-        spec = SweepSpec(alphas=args.alpha, betas=args.beta, taus=args.tau)
-    except ValueError as exc:
-        error(str(exc))
+    by_tau = args.tau is not None
+    cells = [(a, s) for a in args.alpha for s in (args.tau if by_tau else args.beta)]
+    orders = [alpha_tau_order(a, s) if by_tau else OrderPair(a, s) for a, s in cells]
     config = _search_config(args.tolerance)
-    by_tau = spec.taus is not None
-
-    def evaluate(cell: tuple[float, float]) -> MeasureResult:
-        a, s = cell
-        if by_tau:
-            return alpha_tau_leakage(channel, a, s, config)
-        return maximal_alpha_beta_leakage(channel, OrderPair(a, s), config)
-
-    cells = _sweep_cells(spec)
-    results = [evaluate(cell) for cell in cells]
+    results = [maximal_alpha_beta_leakage(channel, order, config) for order in orders]
 
     lines = ["alpha,tau,value_nats" if by_tau else "alpha,beta,value_nats"]
     for (a, s), result in zip(cells, results):
@@ -255,9 +217,10 @@ def cmd_sweep(args: argparse.Namespace, error) -> int:
         with open(args.out, "w", encoding="ascii", newline="") as handle:
             handle.write(text)
 
-    stragglers = [cell for cell, r in zip(cells, results) if r.report is not None and not r.report.converged]
-    for a, s in stragglers:
-        print(f"warning: grid point ({a:g}, {s:g}) did not certify convergence", file=sys.stderr)
+    stragglers = [(cell, r.report.certified_gap) for cell, r in zip(cells, results)
+                  if r.report is not None and not r.report.converged]
+    for (a, s), gap in stragglers:
+        print(f"warning: grid point ({a:g}, {s:g}) did not certify convergence (gap {gap:.3e})", file=sys.stderr)
     return 3 if stragglers else 0
 
 
@@ -294,72 +257,60 @@ def _slack_eq(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs)
 
 
-def _abl(channel: Channel, order: OrderPair, config: OptimizerConfig) -> float:
-    return maximal_alpha_beta_leakage(channel, order, config).value.nats
-
-
 def _verify_battery(channels, rng, config, allow_zeros, search_tol):
     """Yield (name, worst_slack, pass_threshold) for every property.
 
     Search-backed inequalities pass at ``search_tol``; closed-form
     identities at 1e-9; the two cross-oracle rows carry the scale of
-    their own truncation error (grid resolution, alpha offset).
+    their own truncation error (grid resolution, alpha offset). Several
+    properties read the same family value, so every value goes through
+    one cache and each distinct (channel, order) is solved once.
     """
+
+    @functools.cache
+    def family(channel: Channel, order: OrderPair) -> float:
+        return maximal_alpha_beta_leakage(channel, order, config).value.nats
+
     pairs = [OrderPair(a, b) for a in _MONO_ALPHAS for b in _MONO_BETAS]
 
-    values = {}
-    for k, channel in enumerate(channels):
-        for pair in pairs:
-            values[k, pair.alpha, pair.beta] = _abl(channel, pair, config)
-
-    worst = max(
-        (
-            -values[k, pair.alpha, pair.beta]
-            for k in range(len(channels))
-            for pair in pairs
-            if not math.isinf(values[k, pair.alpha, pair.beta])
-        ),
-        default=-math.inf,
-    )
+    # an infinite value gives -inf here, which never raises the maximum
+    worst = max(-family(channel, pair) for channel in channels for pair in pairs)
     yield "non-negativity", worst, search_tol
 
     constant = validate_channel(np.tile(rng.dirichlet(np.ones(3)), (3, 1)))
-    worst = max(_abl(constant, pair, config) for pair in pairs)
+    worst = max(family(constant, pair) for pair in pairs)
     yield "independence-zero", worst, search_tol
 
     worst = -math.inf
-    for k in range(len(channels)):
+    for channel in channels:
         for a in _MONO_ALPHAS:
-            run = [values[k, a, b] for b in _MONO_BETAS]
+            run = [family(channel, OrderPair(a, b)) for b in _MONO_BETAS]
             worst = max(worst, max(_slack_le(run[i], run[i + 1]) for i in range(len(run) - 1)))
     yield "beta-monotonicity", worst, search_tol
 
-    tau_vals = {}
-    for k, channel in enumerate(channels):
-        for a in _TAU_ALPHAS:
-            for t in _TAU_GRID:
-                tau_vals[k, a, t] = alpha_tau_leakage(channel, a, t, config).value.nats
     worst = -math.inf
-    for k in range(len(channels)):
+    for channel in channels:
         for a in _TAU_ALPHAS:
-            run = [tau_vals[k, a, t] for t in _TAU_GRID]
+            run = [family(channel, alpha_tau_order(a, t)) for t in _TAU_GRID]
             worst = max(worst, max(_slack_le(run[i + 1], run[i]) for i in range(len(run) - 1)))
     yield "tau-monotonicity", worst, search_tol
 
     worst = -math.inf
-    for k in range(len(channels)):
+    for channel in channels:
         for t in _TAU_GRID:
-            worst = max(worst, _slack_le(tau_vals[k, _TAU_ALPHAS[0], t], tau_vals[k, _TAU_ALPHAS[1], t]))
+            low, high = (family(channel, alpha_tau_order(a, t)) for a in _TAU_ALPHAS)
+            worst = max(worst, _slack_le(low, high))
     yield "tau-alpha-monotonicity", worst, search_tol
 
     worst = -math.inf
     for channel in channels:
         post = _random_channel(rng, channel.n_outputs, 3, allow_zeros)
         pre = _random_channel(rng, 3, channel.n_inputs, allow_zeros)
+        processed = (compose(channel, post), compose(pre, channel))
         for pair in _DPI_ORDERS:
-            base = _abl(channel, pair, config)
-            worst = max(worst, _slack_le(_abl(compose(channel, post), pair, config), base))
-            worst = max(worst, _slack_le(_abl(compose(pre, channel), pair, config), base))
+            base = family(channel, pair)
+            for other in processed:
+                worst = max(worst, _slack_le(family(other, pair), base))
     yield "data-processing", worst, search_tol
 
     left = _random_channel(rng, 2, 2, allow_zeros)
@@ -367,40 +318,38 @@ def _verify_battery(channels, rng, config, allow_zeros, search_tol):
     joint = product(left, right)
     worst = -math.inf
     for pair in (OrderPair(2.0, 3.0), OrderPair(3.0, 1.5), OrderPair(math.inf, math.inf)):
-        total = _abl(joint, pair, config)
-        parts = _abl(left, pair, config) + _abl(right, pair, config)
-        worst = max(worst, _slack_eq(total, parts))
+        worst = max(worst, _slack_eq(family(joint, pair), family(left, pair) + family(right, pair)))
     yield "additivity", worst, search_tol
 
     worst = -math.inf
     for channel in channels:
         for a in (1.5, 2.0, 4.0):
-            worst = max(worst, _slack_eq(_abl(channel, OrderPair(a, a), config), lrdp(channel, a).nats))
+            worst = max(worst, _slack_eq(family(channel, OrderPair(a, a)), lrdp(channel, a).nats))
     yield "lrdp-bridge", worst, 1e-9
 
     worst = -math.inf
     for channel in channels:
         maxl = maximal_leakage(channel).nats
-        worst = max(worst, _slack_eq(_abl(channel, OrderPair(math.inf, 1.0), config), maxl))
+        worst = max(worst, _slack_eq(family(channel, OrderPair(math.inf, 1.0)), maxl))
         worst = max(worst, _slack_eq(lrdp_variant(channel, 1.0).nats, maxl))
     yield "maxl-bridge", worst, 1e-9
 
     worst = -math.inf
     for channel in channels:
         eps = ldp(channel).nats
-        worst = max(worst, _slack_eq(_abl(channel, OrderPair(math.inf, math.inf), config), eps))
+        worst = max(worst, _slack_eq(family(channel, OrderPair(math.inf, math.inf)), eps))
         for a in (1.5, 3.0):
             scaled = math.inf if math.isinf(eps) else a / (a - 1.0) * eps
-            worst = max(worst, _slack_eq(_abl(channel, OrderPair(a, math.inf), config), scaled))
+            worst = max(worst, _slack_eq(family(channel, OrderPair(a, math.inf)), scaled))
     yield "ldp-bridge", worst, 1e-9
 
     worst = -math.inf
     for channel in channels:
         point = SimplexPoint.from_weights(rng.dirichlet(np.ones(channel.n_inputs)))
         for a, t in ((2.0, 0.5), (3.0, 1.0), (1.5, 0.25)):
-            beta = a / (1.0 + t * (a - 1.0))
+            order = alpha_tau_order(a, t)
             for x_prime in range(channel.n_inputs):
-                direct = inner_objective(channel, x_prime, point, OrderPair(a, beta))
+                direct = inner_objective(channel, x_prime, point, order)
                 if math.isinf(direct):
                     continue
                 q = optimal_q_y(channel, x_prime, point, a, t)
@@ -414,19 +363,18 @@ def _verify_battery(channels, rng, config, allow_zeros, search_tol):
             continue
         for pair in (OrderPair(4.0, 2.0), OrderPair(2.0, 1.0)):
             grid = oracle.grid_search_inner(channel, pair, 200).nats
-            exact = _abl(channel, pair, config)
-            worst = max(worst, _slack_eq(exact, grid))
+            worst = max(worst, _slack_eq(family(channel, pair), grid))
     yield "grid-oracle", worst, 5e-4  # grid truncation at resolution 200 nears 3e-4 at low-mass optima
 
     small = _random_channel(rng, 2, 2, allow_zeros)
     worst = -math.inf
     for pair in (OrderPair(2.0, 2.0), OrderPair(2.0, 1.0)):
         bound = oracle.definitional_leakage(small, pair, px_grid=15, shatter_cap=5).nats
-        worst = max(worst, _slack_le(bound, _abl(small, pair, config) + 1e-9))
+        worst = max(worst, _slack_le(bound, family(small, pair) + 1e-9))
     yield "definitional-lower-bound", worst, search_tol
 
     channel = channels[0]
-    low_alpha = maximal_alpha_leakage(channel, 1.0 + 1e-3, config).value.nats
+    low_alpha = family(channel, OrderPair(1.0 + 1e-3, 1.0))
     capacity = shannon_capacity(channel).nats
     slack = abs(low_alpha - capacity) if not math.isinf(low_alpha) else math.inf
     yield "capacity-limit", slack, 5e-3  # the alpha offset itself contributes at this scale
@@ -437,8 +385,9 @@ def cmd_verify(args: argparse.Namespace, error) -> int:
     if args.channel is not None:
         channels = [read_channel_csv(args.channel)]
     else:
-        count = max(int(args.random), 1)
-        channels = [_random_channel(rng, 3, 3, args.allow_zeros) for _ in range(count)]
+        if args.random < 1:
+            error(f"--random must be at least 1, got {args.random}")
+        channels = [_random_channel(rng, 3, 3, args.allow_zeros) for _ in range(args.random)]
 
     gap = max(min(args.tolerance * 1e-2, 1e-8), 1e-12)
     config = OptimizerConfig(tolerance=gap, max_iterations=20_000)
@@ -459,7 +408,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return cmd_compute(args, parser.error)
         if args.command == "sweep":
-            return cmd_sweep(args, parser.error)
+            return cmd_sweep(args)
         return cmd_verify(args, parser.error)
     except ChanleakError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,6 +56,7 @@ __all__ = [
     "ldp",
     "lrdp",
     "lrdp_variant",
+    "alpha_tau_order",
     "alpha_tau_leakage",
     "variational_objective",
     "optimal_q_y",
@@ -384,26 +385,36 @@ def lrdp_variant(channel: Channel, beta: float) -> LeakageValue:
     return LeakageValue(value)
 
 
-def alpha_tau_leakage(channel: Channel, alpha: float, tau: float,
-                      config: OptimizerConfig | None = None) -> MeasureResult:
-    """The tau in [0, 1] reparameterized slice: beta = alpha / (1 + tau (alpha - 1)).
-
-    tau = 0 recovers the beta = alpha closed form, tau = 1 the beta = 1
-    member; the whole slice lies in the concave regime beta <= alpha.
-    """
+def _checked_alpha_tau(alpha: float, tau: float) -> tuple[float, float]:
     a = float(alpha)
     if math.isinf(a) or math.isnan(a) or a <= 1.0:
         raise InvalidEntry(f"alpha must be finite in (1, inf), got {alpha!r}")
     t = float(tau)
     if math.isnan(t) or not 0.0 <= t <= 1.0:
         raise InvalidEntry(f"tau must lie in [0, 1], got {tau!r}")
+    return a, t
+
+
+def alpha_tau_order(alpha: float, tau: float) -> OrderPair:
+    """The order pair of the tau slice: beta = alpha / (1 + tau (alpha - 1)).
+
+    alpha must be finite in (1, inf) and tau lie in [0, 1]. The endpoints
+    are exact: tau = 0 gives beta = alpha (local Renyi DP) and tau = 1
+    gives beta = 1 (maximal alpha-leakage); the whole slice lies in the
+    concave regime beta <= alpha.
+    """
+    a, t = _checked_alpha_tau(alpha, tau)
     if t == 0.0:
-        beta = a
-    elif t == 1.0:
-        beta = 1.0
-    else:
-        beta = a / (1.0 + t * (a - 1.0))
-    return maximal_alpha_beta_leakage(channel, OrderPair(a, beta), config)
+        return OrderPair(a, a)
+    if t == 1.0:
+        return OrderPair(a, 1.0)
+    return OrderPair(a, a / (1.0 + t * (a - 1.0)))
+
+
+def alpha_tau_leakage(channel: Channel, alpha: float, tau: float,
+                      config: OptimizerConfig | None = None) -> MeasureResult:
+    """The family value on the tau slice, at the order :func:`alpha_tau_order` gives."""
+    return maximal_alpha_beta_leakage(channel, alpha_tau_order(alpha, tau), config)
 
 
 def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
@@ -413,12 +424,7 @@ def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
         (1/(alpha-1)) * log sum_{x,y} p(x) P(y|x)^alpha
                         * (q(y)^tau P(y|x')^(1-tau))^(1-alpha)
     """
-    a = float(alpha)
-    if math.isinf(a) or math.isnan(a) or a <= 1.0:
-        raise InvalidEntry(f"alpha must be finite in (1, inf), got {alpha!r}")
-    t = float(tau)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
-        raise InvalidEntry(f"tau must lie in [0, 1], got {tau!r}")
+    a, t = _checked_alpha_tau(alpha, tau)
     x = _check_x_prime(x_prime, channel.n_inputs)
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
     q = _weights_argument(q_y, channel.n_outputs, "q_y")
@@ -446,12 +452,9 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
     is q(y) proportional to C(y)^(1/(1-gamma)). Requires tau > 0 (at tau = 0
     the objective does not depend on q).
     """
-    a = float(alpha)
-    if math.isinf(a) or math.isnan(a) or a <= 1.0:
-        raise InvalidEntry(f"alpha must be finite in (1, inf), got {alpha!r}")
-    t = float(tau)
-    if math.isnan(t) or not 0.0 < t <= 1.0:
-        raise InvalidEntry(f"tau must lie in (0, 1] here, got {tau!r}")
+    a, t = _checked_alpha_tau(alpha, tau)
+    if t == 0.0:
+        raise InvalidEntry("tau must be positive here: at tau = 0 the objective does not depend on q")
     x = _check_x_prime(x_prime, channel.n_inputs)
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from chanleak import Channel, write_channel_csv
+from chanleak import Channel, cli, measures, write_channel_csv
 
 
 def run_cli(*args, cwd=None):
@@ -179,17 +179,6 @@ class TestSweep:
         )
         assert lines[3] == f"2,1,{sibson.stdout.strip()}"
 
-    def test_jobs_do_not_change_bytes(self, channels):
-        serial = run_cli(
-            "sweep", "--channel", channels["asym33"], "--alpha", "1.5,2,4", "--beta", "1,2,inf",
-        )
-        parallel = run_cli(
-            "sweep", "--channel", channels["asym33"], "--alpha", "1.5,2,4", "--beta", "1,2,inf",
-            "--jobs", "3",
-        )
-        assert serial.stdout == parallel.stdout
-        assert serial.returncode == parallel.returncode == 0
-
     def test_out_file_matches_stdout(self, channels, tmp_path):
         out = tmp_path / "sweep.csv"
         to_file = run_cli(
@@ -219,11 +208,31 @@ class TestSweep:
         r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2")
         assert r.returncode == 2
 
-    def test_illegal_grid_entries_exit_two(self, channels):
+    def test_illegal_grid_entries_exit_two(self, channels, tmp_path):
         r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--beta", "0.5")
         assert r.returncode == 2
         r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--tau", "2")
         assert r.returncode == 2
+        # a bad last entry fails before any cell is solved or written
+        out = tmp_path / "sweep.csv"
+        for grid in (("--beta", "1,2,0.5"), ("--tau", "0,0.5,2")):
+            r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2,4", *grid, "--out", str(out))
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert r.stderr.startswith("error:")
+            assert not out.exists()
+
+    def test_uncertified_cell_states_its_gap(self, channels):
+        r = run_cli(
+            "sweep", "--channel", channels["asym33"], "--alpha", "2", "--beta", "1,2",
+            "--tolerance", "1e-18",
+        )
+        assert r.returncode == 3
+        assert len(r.stdout.splitlines()) == 3
+        assert re.fullmatch(
+            r"warning: grid point \(2, 1\) did not certify convergence \(gap \d\.\d{3}e[-+]\d+\)\n",
+            r.stderr,
+        )
 
 
 class TestVerify:
@@ -249,6 +258,27 @@ class TestVerify:
     def test_explicit_channel_passes(self, channels):
         r = run_cli("verify", "--channel", channels["bsc02"], "--seed", "1")
         assert r.returncode == 0
+
+    def test_channel_count_below_one_exits_two(self):
+        for count in ("0", "-3"):
+            r = run_cli("verify", "--random", count, "--seed", "5")
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert "--random must be at least 1" in r.stderr
+
+    def test_each_channel_and_order_is_solved_once(self, monkeypatch, capsys):
+        solved = []
+        solve = measures.maximize_power_sum
+
+        def counting(logP, alpha, beta, config):
+            solved.append((logP.tobytes(), alpha, beta))
+            return solve(logP, alpha, beta, config)
+
+        monkeypatch.setattr(measures, "maximize_power_sum", counting)
+        assert cli.main(["verify", "--random", "1", "--seed", "5"]) == 0
+        assert capsys.readouterr().out.endswith("14 of 14 properties passed\n")
+        assert solved
+        assert len(set(solved)) == len(solved)
 
     def test_allow_zeros_is_deterministic(self):
         first = run_cli("verify", "--random", "2", "--seed", "11", "--allow-zeros")

@@ -16,6 +16,7 @@ from chanleak import (
     ShapeError,
     SimplexPoint,
     alpha_tau_leakage,
+    alpha_tau_order,
     inner_gradient,
     inner_objective,
     ldp,
@@ -258,11 +259,23 @@ class TestTauParameterization:
         beta = alpha / (1.0 + tau * (alpha - 1.0))
         direct = maximal_alpha_beta_leakage(ch, OrderPair(alpha, beta)).value.nats
         assert alpha_tau_leakage(ch, alpha, tau).value.nats == pytest.approx(direct, abs=1e-13)
+        assert alpha_tau_order(alpha, tau) == OrderPair(alpha, beta)
+        for a in (1.5, 3.0, 1e6):
+            assert alpha_tau_order(a, 0.0) == OrderPair(a, a)
+            assert alpha_tau_order(a, 1.0) == OrderPair(a, 1.0)
+            for t in (0.0, 0.25, 0.5, 1.0):
+                via_order = maximal_alpha_beta_leakage(ch, alpha_tau_order(a, t)).value.nats
+                assert alpha_tau_leakage(ch, a, t).value.nats == via_order
 
     def test_tau_out_of_range(self):
         for tau in (-0.1, 1.1, math.nan):
             with pytest.raises(InvalidEntry):
                 alpha_tau_leakage(bsc(0.2), 2.0, tau)
+            with pytest.raises(InvalidEntry):
+                alpha_tau_order(2.0, tau)
+        for alpha in (math.inf, math.nan, 1.0, 0.5):
+            with pytest.raises(InvalidEntry):
+                alpha_tau_order(alpha, 0.5)
 
     def test_saddle_point_identity(self):
         # plugging the optimal reference law back in reproduces the inner value
