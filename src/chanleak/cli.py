@@ -130,9 +130,10 @@ def _require(args: argparse.Namespace, parser_error, names: tuple[str, ...]) -> 
 
 
 # Default certification for the search path, an order looser than the
-# library's 1e-9: at beta = 1 the multiplicative steps converge sublinearly,
-# and on a 60x60 channel at (1.5, 1) the default 10,000 steps certify 1e-8
-# but not 1e-9.
+# library's 1e-9. Speed does not call for it: the solver certifies 1e-9 on
+# 100x100 channels in under a hundred steps. It stays because the
+# tolerance sets where the search stops, so the last of the 12 digits that
+# `compute` and `sweep` print can move with it.
 _SEARCH_TOLERANCE = 1e-8
 
 
@@ -381,6 +382,8 @@ def _verify_battery(channels, rng, config, allow_zeros, search_tol):
 
 
 def cmd_verify(args: argparse.Namespace, error) -> int:
+    if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
+        error(f"--tolerance must be a positive number, got {args.tolerance!r}")
     rng = np.random.default_rng(args.seed)
     if args.channel is not None:
         channels = [read_channel_csv(args.channel)]

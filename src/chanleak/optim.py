@@ -15,6 +15,16 @@ a bracket that holds at every p. The update p <- p * ratio^(1/(1-c)),
 renormalized, maximizes a lower bound of G that touches it at p (Jensen on
 t -> t^c), so G never decreases: the multiplicative scheme of Blahut and
 Arimoto, which Arimoto extended to order-alpha capacity.
+
+That scheme alone converges sublinearly where weights decay toward 0, so
+each multiplicative step is followed by one safeguarded Newton step
+(:func:`_newton_step`) on the inputs that carry weight; the two together
+certify in tens of steps where the multiplicative steps alone take
+thousands. The Newton step is accepted only where G does not drop, so the
+iterates still ascend, and since the bracket holds at every p, it can
+only close the bracket sooner.
+The bracket also prunes: a reference input whose upper end falls below
+the best lower end can never win and leaves the batch.
 """
 
 from __future__ import annotations
@@ -45,13 +55,23 @@ _EPS = float(np.finfo(float).eps)
 # no value by a representable amount.
 _LOG_WEIGHT_FLOOR = -600.0
 
+# The Newton step moves the inputs weighing more than this fraction of
+# the largest weight, plus those whose gradient says they should gain.
+_FREE_WEIGHT = 1e-9
+# Ridge on the free Hessian, relative to its trace: duplicated rows and
+# more inputs than outputs make the Hessian singular.
+_RIDGE = 1e-13
+# The Newton step length is halved at most this many times.
+_MAX_HALVINGS = 20
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for :func:`maximize_power_sum`.
 
     ``tolerance`` bounds the certified gap at exit; ``max_iterations``
-    caps the number of multiplicative steps.
+    caps the number of steps, each one multiplicative step followed by one
+    Newton step per reference input still in the race.
     """
 
     max_iterations: int = 10_000
@@ -87,14 +107,18 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     ``logP`` is the log of the channel matrix. At beta > 1 a zero entry in
     a column that some input reaches makes the value +inf; the caller
     settles that case before calling. All reference inputs run at once
-    (one, when beta = 1 and the reference row drops out); each step is two
-    matrix products in the column-scaled domain exp(alpha log P - column
-    max), where the largest entry of each column is 1 at any alpha.
+    (one, when beta = 1 and the reference row drops out); each
+    multiplicative step is two matrix products in the column-scaled domain
+    exp(alpha log P - column max), where the largest entry of each column
+    is 1 at any alpha, and is followed by a Newton step per row. A row
+    whose upper end falls below the best lower end by more than rounding
+    is dropped; the row holding the best lower end never is.
 
     Returns the winning reference input (the last one among exact ties)
-    and the report of its mixture. The certified gap is the best upper
-    end of the brackets minus the reported value, never below the
-    rounding of the bracket ends. Non-convergence is reported, never raised.
+    and the report of its mixture. The certified gap is the largest upper
+    end of the brackets, pruned rows' last ones included, minus the
+    reported value, never below the rounding of the bracket ends.
+    Non-convergence is reported, never raised.
     """
     logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
     n, m = logP.shape
@@ -106,6 +130,8 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     logR = beta * colmax[None, :] if beta == 1.0 else (1.0 - beta) * logP + beta * colmax
     shift = logR.max(axis=1)
     R = np.exp(logR - shift[:, None])
+    live = np.arange(R.shape[0])  # the original index of each row still in the race
+    pruned_upper = -math.inf
     logp = np.zeros(R.shape[:1] + (n,))  # log weights up to a per-row constant
     p = np.full_like(logp, 1.0 / n)
     iterations = 0
@@ -121,15 +147,24 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
             best = len(lower) - 1 - int(np.argmax(lower[::-1]))
             value = float(lower[best])
             floor = _ROUNDING_ULPS * (n + m) * _EPS * max(pref, abs(value))
-            gap = max(float(upper.max()) - value, floor)
+            gap = max(max(float(upper.max()), pruned_upper) - value, floor)
             if not math.isfinite(gap):
                 raise NumericalFailure("the power-sum bracket is not finite")
             if gap <= max(config.tolerance * _MARGIN, floor) or iterations == config.max_iterations:
                 break
+            # a row whose upper end sits below the best lower end can never
+            # win: its supremum lies below that of the best row
+            keep = upper >= value - floor
+            keep[best] = True
+            if not keep.all():
+                pruned_upper = max(pruned_upper, float(upper[~keep].max()))
+                live, R, shift, logp, ratio = live[keep], R[keep], shift[keep], logp[keep], ratio[keep]
             logp += np.log(ratio) / (1.0 - c)
             logp = np.maximum(logp - logp.max(axis=1, keepdims=True), _LOG_WEIGHT_FLOOR)
             p = np.exp(logp)
             p /= p.sum(axis=1, keepdims=True)
+            p = _power_sum_newton(p, A, R, c)
+            logp = np.log(p / p.max(axis=1, keepdims=True))
             iterations += 1
     report = OptimizerReport(
         value=value,
@@ -138,4 +173,75 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
         certified_gap=gap,
         converged=gap <= config.tolerance,
     )
-    return best, report
+    return int(live[best]), report
+
+
+def _power_sum_newton(p: np.ndarray, A: np.ndarray, R: np.ndarray, c: float) -> np.ndarray:
+    """One Newton step on each row's G(p) = sum_y R(y) (p A)_y^c, weights floored again."""
+    B = p @ A
+    grad = c * ((R * B ** (c - 1.0)) @ A.T)
+    # H = c (c-1) A diag(R B^(c-2)) A^T, formed from square roots so that
+    # no factor overflows where a mixture sits near the weight floor
+    S = np.sqrt(R) * B ** (0.5 * c - 1.0)
+    stepped = np.empty_like(p)
+    for k in range(len(p)):
+        Z = A * S[k]
+        stepped[k] = _newton_step(
+            p[k], grad[k],
+            lambda free: c * (c - 1.0) * (Z[free] @ Z[free].T),
+            lambda q: float(R[k] @ (q @ A) ** c),
+        )
+    return np.maximum(stepped, math.exp(_LOG_WEIGHT_FLOOR) * stepped.max(axis=1, keepdims=True))
+
+
+def _newton_step(p: np.ndarray, grad: np.ndarray, hess, objective) -> np.ndarray:
+    """One safeguarded Newton step of a concave objective on the simplex.
+
+    The free inputs are those that carry weight (above ``_FREE_WEIGHT`` of
+    the largest) and those that enter: their gradient exceeds <p, grad>,
+    so they would gain weight; the others stay fixed. ``hess(free)``
+    returns the Hessian on the free inputs. The direction solves the
+    bordered system [[H - delta I, 1], [1^T, 0]] [d; lambda] = [-grad; 0],
+    delta a ridge of ``_RIDGE`` |tr H|; an entering input that the
+    direction would push below zero is fixed again and the system solved
+    without it. The step runs to the largest t <= 1 that keeps p >= 0, and
+    t is halved until the objective does not drop. Returns the new point,
+    renormalized, or p itself when no step qualifies.
+    """
+    held = p > _FREE_WEIGHT * p.max()
+    free = held | (grad > p @ grad)
+    while True:
+        k = int(np.count_nonzero(free))
+        if k < 2:
+            return p
+        with np.errstate(all="ignore"):
+            H = hess(free)
+            system = np.ones((k + 1, k + 1))
+            system[:k, :k] = H - _RIDGE * abs(np.trace(H)) * np.eye(k)
+            system[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[:k] = -grad[free]
+            if not (np.all(np.isfinite(system)) and np.all(np.isfinite(rhs))):
+                return p
+            try:
+                d = np.linalg.solve(system, rhs)[:k]
+            except np.linalg.LinAlgError:
+                return p
+        if not np.all(np.isfinite(d)):
+            return p
+        leaving = (d < 0.0) & ~held[free]
+        if not leaving.any():
+            break
+        free[np.flatnonzero(free)[leaving]] = False
+    base = p[free]
+    shrink = d < 0.0
+    t = min(1.0, float(np.min(base[shrink] / -d[shrink]))) if shrink.any() else 1.0
+    before = objective(p)
+    for _ in range(_MAX_HALVINGS + 1):
+        q = p.copy()
+        q[free] = np.maximum(base + t * d, 0.0)
+        q /= q.sum()
+        if objective(q) >= before:
+            return q
+        t *= 0.5
+    return p

@@ -266,6 +266,13 @@ class TestVerify:
             assert r.stdout == ""
             assert "--random must be at least 1" in r.stderr
 
+    def test_tolerance_must_be_positive_and_finite(self, channels):
+        for value in ("0", "-1", "nan", "inf"):
+            r = run_cli("verify", "--channel", channels["bsc02"], "--tolerance", value)
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert "--tolerance must be a positive number" in r.stderr
+
     def test_each_channel_and_order_is_solved_once(self, monkeypatch, capsys):
         solved = []
         solve = measures.maximize_power_sum

@@ -356,6 +356,14 @@ class TestCapacity:
         assert abs(tight - expected) < 1e-10
         assert abs(loose - expected) < 1e-3
 
+    def test_few_steps_reach_the_default_tolerance(self, monkeypatch):
+        # Blahut-Arimoto steps alone stop 6.1e-5 short of the value after
+        # 300 steps on this channel; the Newton steps close it long before
+        channel = random_channel(np.random.default_rng(100), 100, 100)
+        full = shannon_capacity(channel).nats
+        monkeypatch.setattr(measures, "_CAPACITY_MAX_ITERATIONS", 300)
+        assert shannon_capacity(channel).nats == pytest.approx(full, abs=1e-9)
+
     def test_near_one_alpha_approaches_capacity(self):
         rng = np.random.default_rng(26)
         ch = random_channel(rng, 3, 3)

@@ -63,7 +63,7 @@ class TestDeterministicSteps:
         for pair in (OrderPair(4.0, 2.0), OrderPair(2.0, 1.0)):
             values = [
                 maximal_alpha_beta_leakage(channel, pair, OptimizerConfig(max_iterations=budget)).value.nats
-                for budget in range(1, 12)
+                for budget in range(1, 41)
             ]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -119,6 +119,70 @@ class TestCertificate:
         assert report.converged is False
         assert report.certified_gap > 0.0
         assert report.value == pytest.approx(0.341556946085, abs=1e-9)
+
+
+class TestWideChannels:
+    # multiplicative steps alone converge sublinearly: on this channel they
+    # stop at the 10,000-step cap with gaps 1.2e-6 at (1.5, 1) and 1.0e-7 at (2, 1)
+    @pytest.mark.parametrize("pair", [OrderPair(1.5, 1.0), OrderPair(2.0, 1.0)])
+    def test_beta_one_certifies_on_one_hundred_inputs(self, pair):
+        rng = np.random.default_rng(100)
+        report = maximal_alpha_beta_leakage(random_channel(rng, 100, 100), pair).report
+        assert report.converged is True
+        assert report.iterations <= 500
+
+    def test_pruned_reference_inputs_certify_on_two_hundred_inputs(self):
+        # multiplicative steps alone for all 200 reference inputs take 292 here
+        rng = np.random.default_rng(200)
+        report = maximal_alpha_beta_leakage(random_channel(rng, 200, 200), OrderPair(4.0, 2.0)).report
+        assert report.converged is True
+        assert report.iterations <= 100
+
+
+_DEGENERATE = {
+    "duplicated-rows": [[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.1, 0.2, 0.7]],
+    "eight-inputs-two-outputs": np.random.default_rng(8).dirichlet(np.ones(2), size=8),
+    "structural-zeros": [[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.2, 0.2, 0.6]],
+    "one-input": [[0.2, 0.3, 0.5]],
+    "one-output": [[1.0], [1.0], [1.0]],
+    "tiny-entry": [[1e-300, 0.6, 0.4], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]],
+}
+
+
+class TestDegenerateHessians:
+    # singular Hessians (duplicated rows, m < n), vanishing or huge
+    # curvature (alpha near 1 or huge, beta near alpha) and weights at the floor
+    @pytest.mark.parametrize("name", sorted(_DEGENERATE))
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0), (4.0, 2.0), (1.0 + 1e-6, 1.0), (1e6, 1.0), (4.0, 4.0 - 1e-9)])
+    def test_certified_or_honestly_not(self, name, alpha, beta):
+        channel, pair = Channel(np.array(_DEGENERATE[name], dtype=float)), OrderPair(alpha, beta)
+        result = maximal_alpha_beta_leakage(channel, pair)
+        report = result.report
+        if report is None:  # a zero in the reference row made the value +inf
+            assert result.value.nats == np.inf
+            return
+        assert report.certified_gap > 0.0
+        assert report.converged == (report.certified_gap <= 1e-9)
+        assert report.certified_gap <= 1e-8  # near alpha = 1 the rounding floor alone exceeds 1e-9
+        direct = inner_objective(channel, result.maximizing_x_prime, result.maximizing_distribution, pair)
+        assert direct == pytest.approx(result.value.nats, abs=1e-9)
+        if channel.n_inputs <= 4 and pair.alpha < 1e6:  # the grid underflows at alpha = 1e6
+            grid = oracle.grid_search_inner(channel, pair, 60).nats
+            assert result.value.nats >= grid - 1e-9
+
+    def test_an_input_dropped_by_a_blocked_step_returns(self):
+        # a Newton step cut at the boundary zeroes an input of the optimal
+        # support; when it re-enters beside an input the direction would
+        # push below zero, fixing the latter keeps the step from stalling
+        # at t = 0 (without that the gap stays at 1.2e-2)
+        rng = np.random.default_rng(1219)
+        n, m = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        matrix = rng.dirichlet(np.ones(m), size=n)
+        matrix[rng.random((n, m)) < 0.3] = 0.0
+        channel = Channel(matrix / matrix.sum(axis=1, keepdims=True))
+        result = maximal_alpha_beta_leakage(channel, OrderPair(1.5, 1.0))
+        assert result.report.converged is True
+        assert result.value.nats == pytest.approx(0.980916042917, abs=1e-9)
 
 
 class TestAgainstGridOracle:
