@@ -14,8 +14,8 @@ distinct (channel, order) is solved once however many properties use it.
 
 Exit codes: 0 success, 2 bad input (unparseable channel, illegal
 parameters, unwritable output), 3 the value was computed and printed but
-the simplex search could not certify convergence at the requested
-tolerance (a warning naming the certified gap goes to stderr).
+the simplex search or the capacity loop could not certify convergence at
+the requested tolerance (a warning naming the certified gap goes to stderr).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .measures import (
     shannon_capacity,
     variational_objective,
 )
-from .optim import OptimizerConfig
+from .optim import OptimizerConfig, OptimizerReport, maximize_information
 
 __all__ = ["build_parser", "main"]
 
@@ -141,34 +141,35 @@ def _search_config(tolerance: float | None) -> OptimizerConfig:
     return OptimizerConfig(tolerance=_SEARCH_TOLERANCE if tolerance is None else tolerance)
 
 
-def _evaluate_measure(channel: Channel, args: argparse.Namespace, error) -> tuple[float, MeasureResult | None]:
+def _evaluate_measure(channel: Channel, args: argparse.Namespace,
+                      error) -> tuple[float, MeasureResult | None, OptimizerReport | None]:
     config = _search_config(args.tolerance)
     name = args.measure
     if name == "abl":
         _require(args, error, ("alpha", "beta"))
         result = maximal_alpha_beta_leakage(channel, OrderPair(args.alpha, args.beta), config)
-        return result.value.nats, result
+        return result.value.nats, result, result.report
     if name == "maxl":
-        return maximal_leakage(channel).nats, None
+        return maximal_leakage(channel).nats, None, None
     if name == "max-alpha-l":
         _require(args, error, ("alpha",))
         result = maximal_alpha_leakage(channel, args.alpha, config)
-        return result.value.nats, result
+        return result.value.nats, result, result.report
     if name == "ldp":
-        return ldp(channel).nats, None
+        return ldp(channel).nats, None, None
     if name == "lrdp":
         _require(args, error, ("alpha",))
-        return lrdp(channel, args.alpha).nats, None
+        return lrdp(channel, args.alpha).nats, None, None
     if name == "lrdp-variant":
         _require(args, error, ("beta",))
-        return lrdp_variant(channel, args.beta).nats, None
+        return lrdp_variant(channel, args.beta).nats, None, None
     if name == "alpha-tau":
         _require(args, error, ("alpha", "tau"))
         result = alpha_tau_leakage(channel, args.alpha, args.tau, config)
-        return result.value.nats, result
+        return result.value.nats, result, result.report
     if name == "capacity":
-        tolerance = args.tolerance if args.tolerance is not None else 1e-9
-        return shannon_capacity(channel, tolerance).nats, None
+        report = maximize_information(channel.matrix, OptimizerConfig() if args.tolerance is None else config)
+        return report.value, None, report
     raise AssertionError(name)
 
 
@@ -179,20 +180,20 @@ def _format_value(nats: float, unit: str) -> str:
 
 def cmd_compute(args: argparse.Namespace, error) -> int:
     channel = read_channel_csv(args.channel)
-    nats, result = _evaluate_measure(channel, args, error)
+    nats, result, report = _evaluate_measure(channel, args, error)
     print(_format_value(nats, args.unit))
     if args.report and result is not None:
         print(f"x_prime: {result.maximizing_x_prime}")
         if result.maximizing_distribution is not None:
             weights = " ".join(f"{w:.12f}" for w in result.maximizing_distribution.weights)
             print(f"p_tilde: {weights}")
-        if result.report is not None:
-            print(f"iterations: {result.report.iterations}")
-            print(f"certified_gap: {result.report.certified_gap:.3e}")
-            print(f"converged: {str(result.report.converged).lower()}")
-    if result is not None and result.report is not None and not result.report.converged:
+    if args.report and report is not None:
+        print(f"iterations: {report.iterations}")
+        print(f"certified_gap: {report.certified_gap:.3e}")
+        print(f"converged: {str(report.converged).lower()}")
+    if report is not None and not report.converged:
         print(
-            f"warning: search gap {result.report.certified_gap:.3e} exceeds the tolerance; "
+            f"warning: search gap {report.certified_gap:.3e} exceeds the tolerance; "
             "the printed value may sit below the supremum",
             file=sys.stderr,
         )

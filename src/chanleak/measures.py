@@ -15,7 +15,7 @@ a closed form over input pairs. The classical measures fall out at the
 edges of the order square: Renyi-divergence based pointwise leakage at
 beta = alpha, local differential privacy at alpha = beta = inf, maximal
 leakage at (inf, 1), and channel capacity in the alpha -> 1 limit (served
-by a dedicated routine).
+by :func:`chanleak.optim.maximize_information`).
 
 Every closed form and inner evaluation here is one power sum
 sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain, and all of
@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import Channel, LeakageValue, OrderPair, SimplexPoint
 from .errors import DegenerateInput, InvalidEntry, NumericalFailure, ShapeError
-from .optim import OptimizerConfig, OptimizerReport, _newton_step, maximize_power_sum
+from .optim import OptimizerConfig, OptimizerReport, maximize_information, maximize_power_sum
 from ._logdomain import logsumexp as _logsumexp
 
 __all__ = [
@@ -62,8 +62,6 @@ __all__ = [
     "optimal_q_y",
     "shannon_capacity",
 ]
-
-_CAPACITY_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,45 +473,9 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
 
 
 def shannon_capacity(channel: Channel, tolerance: float = 1e-9) -> LeakageValue:
-    """Channel capacity in nats by alternating maximization.
+    """Channel capacity in nats, to a bracket gap of ``tolerance`` within the step cap.
 
-    Each step is the Blahut-Arimoto input update followed by one
-    safeguarded Newton step on the mutual information (gradient
-    D(P_x || q), Hessian -P diag(1/q) P^T over the reached outputs), which
-    never lowers it. At each step the mutual information I under the
-    current input law and the row-wise divergence maximum U bracket the
-    capacity, I <= C <= U, so U - I is a duality-gap stopping certificate.
-    The loop stops after ``_CAPACITY_MAX_ITERATIONS`` steps even when the
-    bracket is still wider than the tolerance.
-    """
+    :func:`chanleak.optim.maximize_information` returns the bracket and whether it closed."""
     if not tolerance > 0.0:
         raise InvalidEntry(f"tolerance must be positive, got {tolerance!r}")
-    matrix = channel.matrix
-    logM = _log_matrix(matrix)
-    reached = matrix[:, matrix.max(axis=0) > 0.0]  # the columns some input reaches
-
-    def divergences(q: np.ndarray) -> np.ndarray:
-        """D(P_x || q P) for every input x; +inf where q leaves a reached output unreached."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(matrix > 0.0, matrix * (logM - np.log(q @ matrix)[None, :]), 0.0).sum(axis=1)
-
-    def information(q: np.ndarray) -> float:
-        """I under q; -inf where q leaves a reached output unreached, so no step goes there."""
-        d = divergences(q)
-        return float(q @ d) if np.all(np.isfinite(d)) else -math.inf
-
-    n = channel.n_inputs
-    q = np.full(n, 1.0 / n)
-    info = 0.0
-    for _ in range(_CAPACITY_MAX_ITERATIONS):
-        div = divergences(q)
-        info = float(q @ div)
-        upper = float(div.max())
-        if upper - info <= tolerance:
-            break
-        q = q * np.exp(div - upper)
-        q /= q.sum()
-        with np.errstate(divide="ignore"):  # an output law underflowed to 0 fails the step's checks
-            Z = reached / np.sqrt(q @ reached)
-        q = _newton_step(q, divergences(q), lambda free: -(Z[free] @ Z[free].T), information)
-    return LeakageValue(max(info, 0.0))
+    return LeakageValue(maximize_information(channel.matrix, OptimizerConfig(tolerance=tolerance)).value)

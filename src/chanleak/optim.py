@@ -1,4 +1,4 @@
-"""The certified solver of the concave regime, beta < alpha.
+"""The certified solver: the concave regime beta < alpha, and capacity.
 
 For finite orders beta < alpha the family value is
 
@@ -14,17 +14,17 @@ so <p, grad G> = c G, and with ratio = grad G / (c G) concavity gives
 a bracket that holds at every p. The update p <- p * ratio^(1/(1-c)),
 renormalized, maximizes a lower bound of G that touches it at p (Jensen on
 t -> t^c), so G never decreases: the multiplicative scheme of Blahut and
-Arimoto, which Arimoto extended to order-alpha capacity.
+Arimoto, which Arimoto extended to order-alpha capacity. Capacity itself is
+the second problem here: I(q) <= C <= max over x of D(P_x || qP) at every q.
 
 That scheme alone converges sublinearly where weights decay toward 0, so
 each multiplicative step is followed by one safeguarded Newton step
 (:func:`_newton_step`) on the inputs that carry weight; the two together
 certify in tens of steps where the multiplicative steps alone take
-thousands. The Newton step is accepted only where G does not drop, so the
-iterates still ascend, and since the bracket holds at every p, it can
-only close the bracket sooner.
-The bracket also prunes: a reference input whose upper end falls below
-the best lower end can never win and leaves the batch.
+thousands. The Newton step is accepted only where the objective does not
+drop, so the iterates still ascend, and since the bracket holds at every
+point, it can only close the bracket sooner. Both problems share one
+loop, which also drops a reference input once its bracket shows it cannot win.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .core import SimplexPoint
 from .errors import NumericalFailure, ShapeError
 
-__all__ = ["OptimizerConfig", "OptimizerReport", "maximize_power_sum"]
+__all__ = ["OptimizerConfig", "OptimizerReport", "maximize_information", "maximize_power_sum"]
 
 # The loop runs on to this fraction of the requested tolerance: the
 # iterate's shortfall below the supremum tracks its gap almost one to one,
@@ -67,19 +67,18 @@ _MAX_HALVINGS = 20
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for :func:`maximize_power_sum`.
+    """Knobs for :func:`maximize_power_sum` and :func:`maximize_information`.
 
-    ``tolerance`` bounds the certified gap at exit; ``max_iterations``
-    caps the number of steps, each one multiplicative step followed by one
-    Newton step per reference input still in the race.
+    ``tolerance`` bounds the certified gap at exit; ``max_iterations``, an integer,
+    caps the steps, each a multiplicative then a Newton step per row in the race.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ShapeError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ShapeError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if not (self.tolerance > 0.0):
             raise ShapeError(f"tolerance must be positive, got {self.tolerance!r}")
 
@@ -110,15 +109,10 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     (one, when beta = 1 and the reference row drops out); each
     multiplicative step is two matrix products in the column-scaled domain
     exp(alpha log P - column max), where the largest entry of each column
-    is 1 at any alpha, and is followed by a Newton step per row. A row
-    whose upper end falls below the best lower end by more than rounding
-    is dropped; the row holding the best lower end never is.
+    is 1 at any alpha, and is followed by a Newton step per row.
 
-    Returns the winning reference input (the last one among exact ties)
-    and the report of its mixture. The certified gap is the largest upper
-    end of the brackets, pruned rows' last ones included, minus the
-    reported value, never below the rounding of the bracket ends.
-    Non-convergence is reported, never raised.
+    Returns the winning reference input and the report of its mixture,
+    certified and pruned as :func:`_ascend` describes.
     """
     logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
     n, m = logP.shape
@@ -130,26 +124,88 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     logR = beta * colmax[None, :] if beta == 1.0 else (1.0 - beta) * logP + beta * colmax
     shift = logR.max(axis=1)
     R = np.exp(logR - shift[:, None])
-    live = np.arange(R.shape[0])  # the original index of each row still in the race
+
+    def bracket(p, R, shift):
+        B = p @ A
+        W = R * B ** (c - 1.0)
+        G = (W * B).sum(axis=1)
+        ratio = (W @ A.T) / G[:, None]
+        lower = pref * (np.log(G) + shift)
+        return lower, lower + pref * np.log1p(c * (ratio.max(axis=1) - 1.0)), np.log(ratio) / (1.0 - c)
+
+    def newton_terms(p, R, shift):
+        B = p @ A
+        # H = c (c-1) A diag(R B^(c-2)) A^T, factored with square roots so
+        # that no factor overflows where a mixture sits near the weight floor
+        S = np.sqrt(R) * B ** (0.5 * c - 1.0)
+        return (c * ((R * B ** (c - 1.0)) @ A.T), c * (c - 1.0), lambda k: A * S[k],
+                lambda k, q: float(R[k] @ (q @ A) ** c))
+
+    return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, (R, shift), config)
+
+
+def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> OptimizerReport:
+    """Maximize the mutual information over input laws q: the capacity of a channel matrix.
+
+    Blahut-Arimoto steps q <- q exp D(P_x || qP), each followed by a Newton
+    step; the report certifies I(q) <= C <= max over x of D(P_x || qP).
+    """
+    reached = matrix[:, matrix.max(axis=0) > 0.0]  # the columns some input reaches
+    n, m = reached.shape
+    neg_entropy = (reached * np.log(reached, out=np.zeros_like(reached), where=reached > 0.0)).sum(axis=1)
+
+    def divergences(q: np.ndarray) -> np.ndarray:
+        """D(P_x || qP) for every input x; +inf where x reaches an output q leaves unreached."""
+        qP = q @ reached
+        if qP.all():
+            return neg_entropy - reached @ np.log(qP)
+        d = neg_entropy - reached @ np.log(qP, out=np.zeros_like(qP), where=qP > 0.0)
+        d[reached[:, qP == 0.0].any(axis=1)] = math.inf
+        return d
+
+    def information(k: int, q: np.ndarray) -> float:
+        """I under q; -inf where q leaves a reached output unreached, so no step goes there."""
+        d = divergences(q)
+        return float(q @ d) if np.all(np.isfinite(d)) else -math.inf
+
+    def bracket(p):
+        d = divergences(p[0])
+        return np.maximum(p @ d, 0.0), d.max(keepdims=True), d[None, :]
+
+    def newton_terms(p):
+        Z = reached / np.sqrt(p[0] @ reached)  # the Hessian is -P diag(1/qP) P^T
+        return divergences(p[0])[None, :], -1.0, lambda k: Z, information
+
+    return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, (), config)[1]
+
+
+def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms, rows: tuple,
+            config: OptimizerConfig) -> tuple[int, OptimizerReport]:
+    """The certified ascent both solvers share: one row per problem, from the start weights p.
+
+    ``bracket(p, *rows)`` gives each live row's lower and upper end and log
+    multiplicative step, ``newton_terms(p, *rows)`` the arguments of
+    :func:`_newton_step` (factor and objective as functions of the row).
+    A row whose upper end falls below the best lower end by more than
+    rounding (``scale`` times that of ``terms`` terms) leaves with its
+    ``rows`` state; the best never does. The gap is the largest upper end,
+    departed rows' included, minus the value. Returns the best row's
+    original index (the last among ties) and its report.
+    """
+    live = np.arange(len(p))  # the original index of each row still in the race
     pruned_upper = -math.inf
-    logp = np.zeros(R.shape[:1] + (n,))  # log weights up to a per-row constant
-    p = np.full_like(logp, 1.0 / n)
+    logp = np.zeros_like(p)  # log weights up to a per-row constant
     iterations = 0
-    # log(0) for an input whose scaled row underflowed to 0 meets the weight floor
+    # log(0) for an input whose weight underflowed to 0 meets the weight floor
     with np.errstate(divide="ignore"):
         while True:
-            B = p @ A
-            W = R * B ** (c - 1.0)
-            G = (W * B).sum(axis=1)
-            ratio = (W @ A.T) / G[:, None]
-            lower = pref * (np.log(G) + shift)
-            upper = lower + pref * np.log1p(c * (ratio.max(axis=1) - 1.0))
+            lower, upper, step = bracket(p, *rows)
             best = len(lower) - 1 - int(np.argmax(lower[::-1]))
             value = float(lower[best])
-            floor = _ROUNDING_ULPS * (n + m) * _EPS * max(pref, abs(value))
+            floor = _ROUNDING_ULPS * terms * _EPS * max(scale, abs(value))
             gap = max(max(float(upper.max()), pruned_upper) - value, floor)
             if not math.isfinite(gap):
-                raise NumericalFailure("the power-sum bracket is not finite")
+                raise NumericalFailure("the certified bracket is not finite")
             if gap <= max(config.tolerance * _MARGIN, floor) or iterations == config.max_iterations:
                 break
             # a row whose upper end sits below the best lower end can never
@@ -158,49 +214,29 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
             keep[best] = True
             if not keep.all():
                 pruned_upper = max(pruned_upper, float(upper[~keep].max()))
-                live, R, shift, logp, ratio = live[keep], R[keep], shift[keep], logp[keep], ratio[keep]
-            logp += np.log(ratio) / (1.0 - c)
+                live, logp, step = live[keep], logp[keep], step[keep]
+                rows = tuple(state[keep] for state in rows)
+            logp += step
             logp = np.maximum(logp - logp.max(axis=1, keepdims=True), _LOG_WEIGHT_FLOOR)
             p = np.exp(logp)
             p /= p.sum(axis=1, keepdims=True)
-            p = _power_sum_newton(p, A, R, c)
+            grad, curvature, factor, objective = newton_terms(p, *rows)
+            for k in range(len(p)):
+                Z = factor(k)  # held until the next row's: freed at once, its pages fault in again
+                p[k] = _newton_step(p[k], grad[k], curvature, Z, lambda q: objective(k, q))
+            p = np.maximum(p, math.exp(_LOG_WEIGHT_FLOOR) * p.max(axis=1, keepdims=True))
             logp = np.log(p / p.max(axis=1, keepdims=True))
             iterations += 1
-    report = OptimizerReport(
-        value=value,
-        maximizer=SimplexPoint(p[best]),
-        iterations=iterations,
-        certified_gap=gap,
-        converged=gap <= config.tolerance,
-    )
-    return int(live[best]), report
+    return int(live[best]), OptimizerReport(value, SimplexPoint(p[best]), iterations, gap, gap <= config.tolerance)
 
 
-def _power_sum_newton(p: np.ndarray, A: np.ndarray, R: np.ndarray, c: float) -> np.ndarray:
-    """One Newton step on each row's G(p) = sum_y R(y) (p A)_y^c, weights floored again."""
-    B = p @ A
-    grad = c * ((R * B ** (c - 1.0)) @ A.T)
-    # H = c (c-1) A diag(R B^(c-2)) A^T, formed from square roots so that
-    # no factor overflows where a mixture sits near the weight floor
-    S = np.sqrt(R) * B ** (0.5 * c - 1.0)
-    stepped = np.empty_like(p)
-    for k in range(len(p)):
-        Z = A * S[k]
-        stepped[k] = _newton_step(
-            p[k], grad[k],
-            lambda free: c * (c - 1.0) * (Z[free] @ Z[free].T),
-            lambda q: float(R[k] @ (q @ A) ** c),
-        )
-    return np.maximum(stepped, math.exp(_LOG_WEIGHT_FLOOR) * stepped.max(axis=1, keepdims=True))
-
-
-def _newton_step(p: np.ndarray, grad: np.ndarray, hess, objective) -> np.ndarray:
+def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarray, objective) -> np.ndarray:
     """One safeguarded Newton step of a concave objective on the simplex.
 
     The free inputs are those that carry weight (above ``_FREE_WEIGHT`` of
     the largest) and those that enter: their gradient exceeds <p, grad>,
-    so they would gain weight; the others stay fixed. ``hess(free)``
-    returns the Hessian on the free inputs. The direction solves the
+    so they would gain weight; the others stay fixed. The Hessian on them
+    is H = ``curvature`` Z_F Z_F^T, curvature < 0. The direction solves the
     bordered system [[H - delta I, 1], [1^T, 0]] [d; lambda] = [-grad; 0],
     delta a ridge of ``_RIDGE`` |tr H|; an entering input that the
     direction would push below zero is fixed again and the system solved
@@ -215,7 +251,7 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, hess, objective) -> np.ndarray
         if k < 2:
             return p
         with np.errstate(all="ignore"):
-            H = hess(free)
+            H = curvature * (Z[free] @ Z[free].T)
             system = np.ones((k + 1, k + 1))
             system[:k, :k] = H - _RIDGE * abs(np.trace(H)) * np.eye(k)
             system[k, k] = 0.0

@@ -139,6 +139,19 @@ class TestCompute:
         assert value == pytest.approx(0.341556946085, abs=1e-6)
         assert "warning:" in r.stderr
 
+    def test_uncertified_capacity_exits_three_with_value(self, channels):
+        args = ("compute", "--channel", channels["asym33"], "--measure", "capacity", "--tolerance", "1e-18")
+        r = run_cli(*args)
+        assert r.returncode == 3
+        assert r.stdout == "0.230739458559\n"
+        assert re.match(r"warning: search gap \d\.\d{3}e-\d+ exceeds the tolerance", r.stderr)
+        # --report prints the capacity loop's own figures; capacity has no x'
+        lines = run_cli(*args, "--report").stdout.splitlines()
+        assert lines[0] == "0.230739458559"
+        assert re.fullmatch(r"iterations: \d+", lines[1])
+        assert lines[3] == "converged: false"
+        assert not any(line.startswith(("x_prime", "p_tilde")) for line in lines)
+
 
 class TestSweep:
     def test_single_cell_reproduces_compute(self, channels):

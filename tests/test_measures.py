@@ -30,6 +30,7 @@ from chanleak import (
     variational_objective,
 )
 from chanleak import measures
+from chanleak.optim import maximize_information
 from conftest import bsc, random_channel
 
 LOG4 = math.log(4.0)
@@ -356,13 +357,35 @@ class TestCapacity:
         assert abs(tight - expected) < 1e-10
         assert abs(loose - expected) < 1e-3
 
-    def test_few_steps_reach_the_default_tolerance(self, monkeypatch):
+    def test_few_steps_reach_the_default_tolerance(self):
         # Blahut-Arimoto steps alone stop 6.1e-5 short of the value after
         # 300 steps on this channel; the Newton steps close it long before
         channel = random_channel(np.random.default_rng(100), 100, 100)
-        full = shannon_capacity(channel).nats
-        monkeypatch.setattr(measures, "_CAPACITY_MAX_ITERATIONS", 300)
-        assert shannon_capacity(channel).nats == pytest.approx(full, abs=1e-9)
+        report = maximize_information(channel.matrix, OptimizerConfig(max_iterations=300))
+        assert report.converged
+        assert report.value == pytest.approx(shannon_capacity(channel).nats, abs=1e-9)
+
+    def test_iteration_cap_is_reported(self):
+        channel = random_channel(np.random.default_rng(0), 30, 30)
+        capped = maximize_information(channel.matrix, OptimizerConfig(max_iterations=2))
+        assert capped.iterations == 2
+        assert capped.converged is False
+        full = maximize_information(channel.matrix, OptimizerConfig())
+        assert full.converged
+        assert capped.value + capped.certified_gap >= full.value
+
+    def test_unreachable_tolerance_is_not_certified(self):
+        report = maximize_information(bsc(0.3).matrix, OptimizerConfig(tolerance=1e-18))
+        assert report.converged is False
+        assert report.certified_gap > 0.0
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_structural_zeros_match_closed_forms(self, p):
+        # Z channel: C = log(1 + (1-p) p^(p/(1-p))); binary erasure channel: C = (1-p) log 2
+        z = Channel(np.array([[1.0, 0.0], [p, 1.0 - p]]))
+        assert shannon_capacity(z).nats == pytest.approx(math.log1p((1.0 - p) * p ** (p / (1.0 - p))), abs=1e-12)
+        erasure = Channel(np.array([[1.0 - p, p, 0.0], [0.0, p, 1.0 - p]]))
+        assert shannon_capacity(erasure).nats == pytest.approx((1.0 - p) * math.log(2.0), abs=1e-12)
 
     def test_near_one_alpha_approaches_capacity(self):
         rng = np.random.default_rng(26)

@@ -88,8 +88,9 @@ class TestDeterministicSteps:
 
 class TestConfig:
     def test_bad_config_rejected(self):
-        with pytest.raises(ShapeError):
-            OptimizerConfig(max_iterations=0)
+        for budget in (0, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ShapeError):
+                OptimizerConfig(max_iterations=budget)
         with pytest.raises(ShapeError):
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ShapeError):
