@@ -475,7 +475,10 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
 def shannon_capacity(channel: Channel, tolerance: float = 1e-9) -> LeakageValue:
     """Channel capacity in nats, to a bracket gap of ``tolerance`` within the step cap.
 
-    :func:`chanleak.optim.maximize_information` returns the bracket and whether it closed."""
+    The value is the lower end of the bracket that
+    :func:`chanleak.optim.maximize_information` certifies; that function's
+    report also says whether the bracket closed within the cap.
+    """
     if not tolerance > 0.0:
         raise InvalidEntry(f"tolerance must be positive, got {tolerance!r}")
     return LeakageValue(maximize_information(channel.matrix, OptimizerConfig(tolerance=tolerance)).value)

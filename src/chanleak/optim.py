@@ -69,8 +69,9 @@ _MAX_HALVINGS = 20
 class OptimizerConfig:
     """Knobs for :func:`maximize_power_sum` and :func:`maximize_information`.
 
-    ``tolerance`` bounds the certified gap at exit; ``max_iterations``, an integer,
-    caps the steps, each a multiplicative then a Newton step per row in the race.
+    ``tolerance`` bounds the certified gap at exit; ``max_iterations``, an
+    integer, caps the number of steps, each one multiplicative step
+    followed by one Newton step per row still in the race.
     """
 
     max_iterations: int = 10_000
@@ -109,10 +110,15 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     (one, when beta = 1 and the reference row drops out); each
     multiplicative step is two matrix products in the column-scaled domain
     exp(alpha log P - column max), where the largest entry of each column
-    is 1 at any alpha, and is followed by a Newton step per row.
+    is 1 at any alpha, and is followed by a Newton step per row. A row
+    whose upper end falls below the best lower end by more than rounding
+    is dropped; the row holding the best lower end never is.
 
-    Returns the winning reference input and the report of its mixture,
-    certified and pruned as :func:`_ascend` describes.
+    Returns the winning reference input (the last one among exact ties)
+    and the report of its mixture. The certified gap is the largest upper
+    end of the brackets, pruned rows' last ones included, minus the
+    reported value, never below the rounding of the bracket ends.
+    Non-convergence is reported, never raised.
     """
     logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
     n, m = logP.shape
@@ -131,24 +137,28 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
         G = (W * B).sum(axis=1)
         ratio = (W @ A.T) / G[:, None]
         lower = pref * (np.log(G) + shift)
-        return lower, lower + pref * np.log1p(c * (ratio.max(axis=1) - 1.0)), np.log(ratio) / (1.0 - c)
+        upper = lower + pref * np.log1p(c * (ratio.max(axis=1) - 1.0))
+        return lower, upper, np.log(ratio) / (1.0 - c)
 
     def newton_terms(p, R, shift):
         B = p @ A
+        grad = c * ((R * B ** (c - 1.0)) @ A.T)
         # H = c (c-1) A diag(R B^(c-2)) A^T, factored with square roots so
         # that no factor overflows where a mixture sits near the weight floor
         S = np.sqrt(R) * B ** (0.5 * c - 1.0)
-        return (c * ((R * B ** (c - 1.0)) @ A.T), c * (c - 1.0), lambda k: A * S[k],
-                lambda k, q: float(R[k] @ (q @ A) ** c))
+        for k in range(len(p)):
+            yield grad[k], c * (c - 1.0), A * S[k], lambda q, r=R[k]: float(r @ (q @ A) ** c)
 
-    return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, (R, shift), config)
+    return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, config, (R, shift))
 
 
 def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> OptimizerReport:
     """Maximize the mutual information over input laws q: the capacity of a channel matrix.
 
     Blahut-Arimoto steps q <- q exp D(P_x || qP), each followed by a Newton
-    step; the report certifies I(q) <= C <= max over x of D(P_x || qP).
+    step (Hessian -P diag(1/qP) P^T over the reached outputs). The report
+    certifies I(q) <= C <= max over x of D(P_x || qP); non-convergence
+    within ``config.max_iterations`` is reported, never raised.
     """
     reached = matrix[:, matrix.max(axis=0) > 0.0]  # the columns some input reaches
     n, m = reached.shape
@@ -157,40 +167,39 @@ def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> Optimiz
     def divergences(q: np.ndarray) -> np.ndarray:
         """D(P_x || qP) for every input x; +inf where x reaches an output q leaves unreached."""
         qP = q @ reached
-        if qP.all():
-            return neg_entropy - reached @ np.log(qP)
-        d = neg_entropy - reached @ np.log(qP, out=np.zeros_like(qP), where=qP > 0.0)
-        d[reached[:, qP == 0.0].any(axis=1)] = math.inf
+        unreached = qP == 0.0
+        d = neg_entropy - reached @ np.log(qP + unreached)  # log 1 = 0 stands in at unreached outputs
+        d[reached @ unreached > 0.0] = math.inf
         return d
 
-    def information(k: int, q: np.ndarray) -> float:
+    def information(q: np.ndarray) -> float:
         """I under q; -inf where q leaves a reached output unreached, so no step goes there."""
         d = divergences(q)
-        return float(q @ d) if np.all(np.isfinite(d)) else -math.inf
+        return float(q @ d) if d.max() < math.inf else -math.inf
 
     def bracket(p):
         d = divergences(p[0])
         return np.maximum(p @ d, 0.0), d.max(keepdims=True), d[None, :]
 
     def newton_terms(p):
-        Z = reached / np.sqrt(p[0] @ reached)  # the Hessian is -P diag(1/qP) P^T
-        return divergences(p[0])[None, :], -1.0, lambda k: Z, information
+        yield divergences(p[0]), -1.0, reached / np.sqrt(p[0] @ reached), information
 
-    return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, (), config)[1]
+    return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, config)[1]
 
 
-def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms, rows: tuple,
-            config: OptimizerConfig) -> tuple[int, OptimizerReport]:
-    """The certified ascent both solvers share: one row per problem, from the start weights p.
+def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
+            config: OptimizerConfig, rows: tuple = ()) -> tuple[int, OptimizerReport]:
+    """The certified ascent both solvers share, from the start weights p, one row per problem.
 
-    ``bracket(p, *rows)`` gives each live row's lower and upper end and log
-    multiplicative step, ``newton_terms(p, *rows)`` the arguments of
-    :func:`_newton_step` (factor and objective as functions of the row).
-    A row whose upper end falls below the best lower end by more than
-    rounding (``scale`` times that of ``terms`` terms) leaves with its
-    ``rows`` state; the best never does. The gap is the largest upper end,
-    departed rows' included, minus the value. Returns the best row's
-    original index (the last among ties) and its report.
+    ``bracket(p, *rows)`` gives each live row's lower end, upper end and
+    log multiplicative step. ``newton_terms(p, *rows)`` yields, row by row,
+    the arguments of :func:`_newton_step` after the point, all worked out
+    from p before its first row moves. A row whose upper end falls below
+    the best lower end by more than rounding (``scale`` times that of
+    ``terms`` terms) leaves with its ``rows`` state; the best never does.
+    The gap is the largest upper end, departed rows' included, minus the
+    value. Returns the best row's original index (the last among ties) and
+    its report.
     """
     live = np.arange(len(p))  # the original index of each row still in the race
     pruned_upper = -math.inf
@@ -220,14 +229,19 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms, rows
             logp = np.maximum(logp - logp.max(axis=1, keepdims=True), _LOG_WEIGHT_FLOOR)
             p = np.exp(logp)
             p /= p.sum(axis=1, keepdims=True)
-            grad, curvature, factor, objective = newton_terms(p, *rows)
-            for k in range(len(p)):
-                Z = factor(k)  # held until the next row's: freed at once, its pages fault in again
-                p[k] = _newton_step(p[k], grad[k], curvature, Z, lambda q: objective(k, q))
+            for k, args in enumerate(newton_terms(p, *rows)):
+                p[k] = _newton_step(p[k], *args)
             p = np.maximum(p, math.exp(_LOG_WEIGHT_FLOOR) * p.max(axis=1, keepdims=True))
             logp = np.log(p / p.max(axis=1, keepdims=True))
             iterations += 1
-    return int(live[best]), OptimizerReport(value, SimplexPoint(p[best]), iterations, gap, gap <= config.tolerance)
+    report = OptimizerReport(
+        value=value,
+        maximizer=SimplexPoint(p[best]),
+        iterations=iterations,
+        certified_gap=gap,
+        converged=gap <= config.tolerance,
+    )
+    return int(live[best]), report
 
 
 def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarray, objective) -> np.ndarray:

@@ -387,6 +387,18 @@ class TestCapacity:
         erasure = Channel(np.array([[1.0 - p, p, 0.0], [0.0, p, 1.0 - p]]))
         assert shannon_capacity(erasure).nats == pytest.approx((1.0 - p) * math.log(2.0), abs=1e-12)
 
+    def test_input_alone_reaching_an_output(self):
+        # Newton trial points here zero the only input that reaches the
+        # middle output, and the best law gives that input a weight of 6e-4
+        P = np.array([[1.0, 0.0, 0.0], [0.6, 0.1, 0.3], [0.0, 0.0, 1.0]])
+        report = maximize_information(P, OptimizerConfig())
+        assert report.converged
+        # recomputed at the maximizer, every D(P_x || qP) stays below the upper end
+        qP = report.maximizer.weights @ P
+        divergences = np.sum(np.where(P > 0.0, P * np.log(np.where(P > 0.0, P, 1.0) / qP), 0.0), axis=1)
+        assert divergences.max() <= report.value + report.certified_gap + 1e-12
+        assert report.value > math.log(2.0)  # the middle input adds to the noiseless pair
+
     def test_near_one_alpha_approaches_capacity(self):
         rng = np.random.default_rng(26)
         ch = random_channel(rng, 3, 3)
