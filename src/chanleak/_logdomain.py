@@ -11,17 +11,21 @@ import numpy as np
 __all__ = ["logsumexp"]
 
 
-def logsumexp(a: np.ndarray, axis=None):
+def logsumexp(a: np.ndarray, axis=None, temperature: float = 1.0):
     """Max-shifted log-sum-exp; -inf entries drop out, +inf dominates.
 
-    Returns a float when ``axis`` is None, otherwise an array with that
-    axis reduced. All -inf slices reduce to -inf without warnings.
+    At a temperature t > 0 it is log(sum exp(t a)) / t, formed as
+    max + log(sum exp(t (a - max))) / t so that t a is never formed; at
+    t = 1 it is the plain log-sum-exp bit for bit. Returns a float when
+    ``axis`` is None, otherwise an array with that axis reduced. All -inf
+    slices reduce to -inf without warnings.
     """
     a = np.asarray(a, dtype=float)
     m = np.max(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+        scaled = a - shift if temperature == 1.0 else temperature * (a - shift)
+        out = np.log(np.sum(np.exp(scaled), axis=axis, keepdims=True)) / temperature + shift
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

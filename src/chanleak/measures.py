@@ -18,18 +18,25 @@ leakage at (inf, 1), and channel capacity in the alpha -> 1 limit (served
 by :func:`chanleak.optim.maximize_information`).
 
 Every closed form and inner evaluation here is one power sum
-sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain, and all of
-them go through one chunked kernel, ``_power_table``: beta >= alpha
-collapses it to pairs of rows, alpha = inf puts the column maximum in the
-numerator, and beta = inf turns it into the sup log ratio (a max over y in
-place of the log-sum-exp). The zero conventions are written once, in its
-``_log_terms``: 0^0 = 1 (at beta = 1 the reference row drops out), and a
-zero reference entry P(y|x') = 0 raised to the negative power 1 - beta < 0
-yields +inf when the alpha-mixture at y is positive but contributes
-nothing when the mixture is zero as well. Two places keep their own rule
-on purpose: the solver in :mod:`chanleak.optim` works in the linear
-domain, and :mod:`chanleak.oracle` stays independent of this module so
-that its agreement with the fast paths is evidence.
+sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain. The zero
+conventions are written once, in ``_log_terms``: 0^0 = 1 (at beta = 1 the
+reference row drops out), and a zero reference entry P(y|x') = 0 raised
+to the negative power 1 - beta < 0 yields +inf when the alpha-mixture at
+y is positive but contributes nothing when the mixture is zero as well.
+The chunked kernel ``_power_table`` reduces those terms for the inner
+evaluations and the alpha = inf form (the column maximum in the
+numerator). For beta >= alpha the measure is a maximum over input pairs,
+and its two pairwise forms do not build the terms of all n^2 pairs: the
+power form ranks every pair with one row-shifted matrix product and
+passes to ``_power_table`` only the pairs that the product's a-priori
+error bound cannot rule out, and the sup log ratio (its beta = inf edge)
+is the largest column range of log P, with its witness sought only in
+the columns that attain it. Both return the value and the first
+maximizing pair in row-major order that ``_power_table`` over all pairs
+gives, bit for bit. Two places keep their own rule on purpose: the solver in
+:mod:`chanleak.optim` works in the linear domain, and
+:mod:`chanleak.oracle` stays independent of this module so that its
+agreement with the fast paths is evidence.
 
 Log-sum-exp is max-shifted; values are nats throughout.
 """
@@ -147,25 +154,21 @@ def _log_terms(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float)
 
 
 def _power_table(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float,
-                 reduce=_logsumexp) -> np.ndarray:
-    """The (K, L) table of ``reduce`` over y of :func:`_log_terms`.
+                 temperature: float = 1.0) -> np.ndarray:
+    """The (K, L) table of the log-sum-exp over y of :func:`_log_terms`.
 
-    ``reduce`` is log-sum-exp for a power sum and ``np.max`` for a sup log
-    ratio. The terms are built a chunk of reference rows at a time, so the
-    memory in use stays near ``_CHUNK_ELEMENTS`` entries whatever K is.
+    The log-sum-exp is taken at ``temperature`` (see
+    :func:`chanleak._logdomain.logsumexp`). The terms are built a chunk of
+    reference rows at a time, so the memory in use stays near
+    ``_CHUNK_ELEMENTS`` entries whatever K is.
     """
     n_num, m = num.shape
     step = max(1, _CHUNK_ELEMENTS // (n_num * m))
     table = np.empty((ref.shape[0], n_num))
     for start in range(0, ref.shape[0], step):
-        table[start:start + step] = reduce(_log_terms(ref[start:start + step], ref_exp, num, num_exp), axis=2)
+        terms = _log_terms(ref[start:start + step], ref_exp, num, num_exp)
+        table[start:start + step] = _logsumexp(terms, axis=2, temperature=temperature)
     return table
-
-
-def _first_max(table: np.ndarray) -> tuple[float, int, int]:
-    """The largest entry of a 2-D table and its index, first in row-major order."""
-    i, j = divmod(int(np.argmax(table)), table.shape[1])
-    return float(table[i, j]), i, j
 
 
 def _log_mixture(logP: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
@@ -269,20 +272,121 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
     return gradient
 
 
-def _pairwise_power_form(logP: np.ndarray, ref_exp: float, num_exp: float, pref: float):
-    """max over input pairs (x', x) of pref * log sum_y P(y|x')^ref_exp P(y|x)^num_exp."""
-    return _first_max(pref * _power_table(logP, ref_exp, logP, num_exp))
+# Pairs whose row-shifted product falls below this are recomputed. Above
+# it, the subnormal summands a product may hold, each off by at most
+# 2^-1074, move it by less than m 2^-174 of itself.
+_UNDERFLOW_FLOOR = 2.0 ** -900
+_EPS = float(np.finfo(float).eps)
+
+
+def _first_infinite_pair(zero: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (x', x) in row-major order such that x reaches an output x' misses.
+
+    ``zero`` marks the zero entries of the channel. Such a pair makes
+    every pairwise form +inf. None when no column mixes zero and positive
+    entries.
+    """
+    differs = zero != zero[0]
+    if not differs.any():
+        return None
+    missed = zero[:, differs.any(axis=0)].astype(float)
+    i, j = divmod(int(np.argmax(missed @ (1.0 - missed).T > 0.0)), len(zero))
+    return i, j
+
+
+def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[float, int, int]:
+    """max over input pairs (x', x) of pref * log sum_y P(y|x')^(1-beta) P(y|x)^beta, beta > 1.
+
+    Returns the value and the first maximizing pair in row-major order,
+    bit for bit what :func:`_power_table` over all n^2 pairs gives,
+    without forming it:
+
+    - A pair whose x reaches an output x' misses is +inf; the first one is
+      found with one 0/1 matrix product.
+    - Otherwise one matrix product ranks every pair in a row-shifted
+      linear domain: log sum_y A(x', y) B(x, y) plus the shifts, with
+      A = exp((1-beta) (log P - low)) and B = exp(beta (log P - high)) over
+      the outputs some input reaches, low and high the least and largest
+      log P of the row, so that no entry exceeds 1 and each row holds a 1.
+    - Let S = (|1-beta| + beta) max |log P|, which bounds every term and
+      shift. That ranking and the per-pair sums each sit within
+      4 eps (S + m + 1000) of the exact sum over y of the rounded terms:
+      the terms, shifts and exponents carry a few rounding errors of at
+      most eps S each, the exponentials and the m-term sums of
+      nonnegative numbers a relative error below (m + 3) eps, and the
+      logarithm and the final additions below eps (S + 1000). delta =
+      32 eps (S + m + 1000) exceeds the two bounds together plus the
+      rounding of the product with ``pref``, so every pair that the
+      per-pair sums rank first, or tie with the first after that product,
+      lies within delta of the ranking's maximum.
+    - Those pairs, and every pair whose product fell below
+      ``_UNDERFLOW_FLOOR``, where the ranking proves nothing, are
+      recomputed: :func:`_power_table` fills the sub-table of their rows
+      and columns. Its other pairs fall short of the maximum, and its rows
+      and columns keep their order, so its first maximum in row-major
+      order is the first of all n^2 pairs. Usually it is 1 x 1; it has
+      n^2 pairs only where that many tie or underflow.
+
+    Where beta max |log P| overflows, the terms are taken at temperature
+    beta: the exponents are divided by beta and the sums reduced as
+    log(sum exp(beta u)) / beta, so that no term overflows into
+    inf - inf. Elsewhere the temperature is 1 and the arithmetic is the
+    plain one.
+    """
+    m = logP.shape[1]
+    zero = np.isneginf(logP)
+    pair = _first_infinite_pair(zero)
+    if pair is not None:
+        return math.inf, *pair
+    # each column is now all zero or all positive; the product needs the positive ones
+    live = logP[:, ~zero[0]]
+    low, high = live.min(axis=1, keepdims=True), live.max(axis=1, keepdims=True)
+    spread = -float(low.min())  # the largest |log P|, as no entry exceeds 1 beyond rounding
+    t = 1.0 if math.isfinite(beta * spread) else beta
+    ref_exp, num_exp = (1.0 - beta) / t, beta / t
+    with np.errstate(over="ignore", divide="ignore"):
+        products = np.exp((1.0 - beta) * (live - low)) @ np.exp(beta * (live - high)).T
+        table = ref_exp * low + (num_exp * high).T + np.log(products) / t
+    under = products < _UNDERFLOW_FLOOR
+    table[under] = -np.inf
+    delta = 32.0 * _EPS * ((abs(ref_exp) + num_exp) * spread + m + 1000.0)
+    recompute = (table >= table.max() - delta) | under
+    rows, cols = np.flatnonzero(recompute.any(axis=1)), np.flatnonzero(recompute.any(axis=0))
+    exact = pref * t * _power_table(logP[rows], ref_exp, logP[cols], num_exp, t)
+    i, j = divmod(int(np.argmax(exact)), len(cols))
+    return float(exact[i, j]), int(rows[i]), int(cols[j])
 
 
 def _alpha_inf_form(logP: np.ndarray, beta: float):
     """max over x' of (1/beta) * log sum_y P(y|x')^(1-beta) * max_x P(y|x)^beta."""
-    value, i, _ = _first_max(_power_table(logP, 1.0 - beta, logP.max(axis=0)[None, :], beta))
-    return value / beta, i
+    table = _power_table(logP, 1.0 - beta, logP.max(axis=0)[None, :], beta)
+    i = int(np.argmax(table))
+    return float(table[i, 0]) / beta, i
 
 
-def _pairwise_sup_log_ratio(logP: np.ndarray):
-    """max over (x', x) of log max over y with P(y|x) > 0 of P(y|x) / P(y|x')."""
-    return _first_max(_power_table(logP, -1.0, logP, 1.0, np.max))
+def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
+    """max over (x', x) of log max over y with P(y|x) > 0 of P(y|x) / P(y|x'), and its first pair.
+
+    A pair whose x reaches an output x' misses is +inf. Otherwise every
+    column is all positive or all zero, and since rounding is monotone the
+    largest ratio is the largest column range max_x log P - min_x log P,
+    bit for bit. Only a column whose range equals it can hold a pair at
+    that ratio, so only those columns' n x n difference tables are formed,
+    one at a time, to find the first such pair in row-major order.
+    """
+    n = logP.shape[0]
+    zero = np.isneginf(logP)
+    pair = _first_infinite_pair(zero)
+    if pair is not None:
+        return math.inf, *pair
+    columns = logP[:, ~zero[0]]
+    ranges = columns.max(axis=0) - columns.min(axis=0)
+    ratio = ranges.max()
+    hits = np.zeros((n, n), dtype=bool)
+    for y in np.flatnonzero(ranges == ratio):
+        hits |= columns[None, :, y] - columns[:, None, y] == ratio
+    i, j = divmod(int(np.argmax(hits)), n)
+    return float(ratio), i, j
 
 
 def _concave_path(channel: Channel, logP: np.ndarray, alpha: float, beta: float,
@@ -330,7 +434,7 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
         ratio, i, j = _pairwise_sup_log_ratio(logP)
         return MeasureResult(LeakageValue(a / (a - 1.0) * ratio), i, SimplexPoint.point_mass(n, j), None)
     if b >= a:
-        value, i, j = _pairwise_power_form(logP, 1.0 - b, b, _prefactor(a, b))
+        value, i, j = _pairwise_power_form(logP, b, _prefactor(a, b))
         return MeasureResult(LeakageValue(value), i, SimplexPoint.point_mass(n, j), None)
     return _concave_path(channel, logP, a, b, config or OptimizerConfig())
 
@@ -370,7 +474,7 @@ def lrdp(channel: Channel, alpha: float) -> LeakageValue:
         raise InvalidEntry("the infinite order is served by ldp")
     if math.isnan(a) or a <= 1.0:
         raise InvalidEntry(f"alpha must lie in (1, inf), got {alpha!r}")
-    value, _, _ = _pairwise_power_form(_log_matrix(channel.matrix), 1.0 - a, a, 1.0 / (a - 1.0))
+    value, _, _ = _pairwise_power_form(_log_matrix(channel.matrix), a, 1.0 / (a - 1.0))
     return LeakageValue(value)
 
 

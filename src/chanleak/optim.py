@@ -147,7 +147,9 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
         # that no factor overflows where a mixture sits near the weight floor
         S = np.sqrt(R) * B ** (0.5 * c - 1.0)
         for k in range(len(p)):
-            yield grad[k], c * (c - 1.0), A * S[k], lambda q, r=R[k]: float(r @ (q @ A) ** c)
+            def objective(q, r=R[k]):
+                return float(r @ (q @ A) ** c)
+            yield grad[k], c * (c - 1.0), A * S[k], objective, objective(p[k])
 
     return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, config, (R, shift))
 
@@ -172,9 +174,8 @@ def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> Optimiz
         d[reached @ unreached > 0.0] = math.inf
         return d
 
-    def information(q: np.ndarray) -> float:
-        """I under q; -inf where q leaves a reached output unreached, so no step goes there."""
-        d = divergences(q)
+    def information(q: np.ndarray, d: np.ndarray) -> float:
+        """I under q from its divergences d; -inf where q misses a reached output, so no step goes there."""
         return float(q @ d) if d.max() < math.inf else -math.inf
 
     def bracket(p):
@@ -182,7 +183,9 @@ def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> Optimiz
         return np.maximum(p @ d, 0.0), d.max(keepdims=True), d[None, :]
 
     def newton_terms(p):
-        yield divergences(p[0]), -1.0, reached / np.sqrt(p[0] @ reached), information
+        d = divergences(p[0])
+        Z = reached / np.sqrt(p[0] @ reached)
+        yield d, -1.0, Z, lambda q: information(q, divergences(q)), information(p[0], d)
 
     return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, config)[1]
 
@@ -193,10 +196,11 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
 
     ``bracket(p, *rows)`` gives each live row's lower end, upper end and
     log multiplicative step. ``newton_terms(p, *rows)`` yields, row by row,
-    the arguments of :func:`_newton_step` after the point, all worked out
-    from p before its first row moves. A row whose upper end falls below
-    the best lower end by more than rounding (``scale`` times that of
-    ``terms`` terms) leaves with its ``rows`` state; the best never does.
+    the arguments of :func:`_newton_step` after the point, the objective at
+    the point included, all worked out from p before its first row moves.
+    A row whose upper end falls below the best lower end by more than
+    rounding (``scale`` times that of ``terms`` terms) leaves with its
+    ``rows`` state; the best never does.
     The gap is the largest upper end, departed rows' included, minus the
     value. Returns the best row's original index (the last among ties) and
     its report.
@@ -244,7 +248,8 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
     return int(live[best]), report
 
 
-def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarray, objective) -> np.ndarray:
+def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarray, objective,
+                 before: float) -> np.ndarray:
     """One safeguarded Newton step of a concave objective on the simplex.
 
     The free inputs are those that carry weight (above ``_FREE_WEIGHT`` of
@@ -255,8 +260,9 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarra
     delta a ridge of ``_RIDGE`` |tr H|; an entering input that the
     direction would push below zero is fixed again and the system solved
     without it. The step runs to the largest t <= 1 that keeps p >= 0, and
-    t is halved until the objective does not drop. Returns the new point,
-    renormalized, or p itself when no step qualifies.
+    t is halved until ``objective`` does not drop below ``before``, its
+    value at p. Returns the new point, renormalized, or p itself when no
+    step qualifies.
     """
     held = p > _FREE_WEIGHT * p.max()
     free = held | (grad > p @ grad)
@@ -286,7 +292,6 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarra
     base = p[free]
     shrink = d < 0.0
     t = min(1.0, float(np.min(base[shrink] / -d[shrink]))) if shrink.any() else 1.0
-    before = objective(p)
     for _ in range(_MAX_HALVINGS + 1):
         q = p.copy()
         q[free] = np.maximum(base + t * d, 0.0)

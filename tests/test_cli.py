@@ -1,5 +1,6 @@
 """End-to-end CLI contract: output formats, exit codes, determinism."""
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -299,6 +300,18 @@ class TestVerify:
         assert capsys.readouterr().out.endswith("14 of 14 properties passed\n")
         assert solved
         assert len(set(solved)) == len(solved)
+
+    def test_uncertified_capacity_fails_its_check(self, monkeypatch, capsys):
+        solve = cli.maximize_information
+
+        def capped(matrix, config):
+            return dataclasses.replace(solve(matrix, config), converged=False)
+
+        monkeypatch.setattr(cli, "maximize_information", capped)
+        assert cli.main(["verify", "--random", "1", "--seed", "5"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^capacity-limit +FAIL  worst_slack=inf$", out, re.MULTILINE)
+        assert out.endswith("13 of 14 properties passed\n")
 
     def test_allow_zeros_is_deterministic(self):
         first = run_cli("verify", "--random", "2", "--seed", "11", "--allow-zeros")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chanleak import (
     Channel,
     DegenerateInput,
     InvalidEntry,
+    LeakageValue,
     MeasureResult,
     OptimizerConfig,
     OrderPair,
@@ -30,6 +32,7 @@ from chanleak import (
     variational_objective,
 )
 from chanleak import measures
+from chanleak._logdomain import logsumexp
 from chanleak.optim import maximize_information
 from conftest import bsc, random_channel
 
@@ -451,6 +454,18 @@ class TestHugeOrders:
         assert all(later >= earlier - 1e-12 for earlier, later in zip(values, values[1:]))
         assert values[2] == pytest.approx(lrdp(channel, 1e200).nats, abs=1e-12)
 
+    def test_huge_beta_against_a_tiny_entry_stays_finite(self):
+        # beta log P overflows at 1e306 against log 1e-300; inf - inf once made this NaN
+        channel = Channel(np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = [maximal_alpha_beta_leakage(channel, OrderPair(2.0, b)).value.nats
+                      for b in (1e300, 1e306, math.inf)]
+            renyi = lrdp(channel, 1e306).nats
+        for value in values:
+            assert value == pytest.approx(1380.1647614353076, rel=1e-12)
+        assert renyi == pytest.approx(ldp(channel).nats, rel=1e-12)
+
 
 KERNEL_CHANNELS = (
     np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.3, 0.0, 0.7]]),  # structural zeros
@@ -511,3 +526,73 @@ class TestPowerSumKernel:
                 assert tracemalloc.get_traced_memory()[1] - before < 64 * 2**20, name
         finally:
             tracemalloc.stop()
+
+
+def _pairwise_channels():
+    rng = np.random.default_rng(2027)
+    out = [np.array([[0.2, 0.3, 0.5]]), np.ones((4, 1))]  # 1 x m, n x 1
+    for k in range(50):
+        n, m = (int(v) for v in rng.integers(1, 9, size=2))
+        matrix = rng.dirichlet(np.ones(m), size=n)
+        if k % 5 == 1:  # structural zeros
+            matrix[rng.random((n, m)) < 0.3] = 0.0
+        elif k % 5 == 2:  # exact duplicate rows: tied pairs
+            matrix = matrix[rng.integers(0, n, size=n)]
+        elif k % 5 == 3:  # entries near 1e-300: row-shifted products underflow
+            tiny = rng.random((n, m)) < 0.4
+            matrix[tiny] = 10.0 ** rng.uniform(-305.0, -295.0, size=int(tiny.sum()))
+        elif k % 5 == 4 and m > 1:  # a zero only at a column no input reaches
+            matrix[:, rng.integers(m)] = 0.0
+        matrix[matrix.sum(axis=1) == 0.0, 0] = 1.0
+        out.append(matrix / matrix.sum(axis=1, keepdims=True))
+    for _ in range(300):  # the rows again with their columns permuted: equal pair values, ranked by rounding
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        matrix = rng.dirichlet(np.ones(m), size=n)
+        out.append(np.vstack([matrix, matrix[:, rng.permutation(m)]]))
+    return out
+
+
+def _pairwise_reference(matrix, order):
+    """The per-pair log-domain forms over all n^2 pairs and their first maximum in row-major order."""
+    logP = measures._log_matrix(matrix)
+    a, b = order.alpha, order.beta
+    if order.beta_infinite:
+        table = measures._log_terms(logP, -1.0, logP, 1.0).max(axis=2)
+        scale = 1.0 if order.alpha_infinite else a / (a - 1.0)
+    else:
+        terms = measures._log_terms(logP, 1.0 - b, logP, b)
+        table = measures._prefactor(a, b) * logsumexp(terms, axis=2)
+        scale = 1.0
+    i, j = divmod(int(np.argmax(table)), table.shape[1])
+    return scale * float(table[i, j]), i, j
+
+
+class TestPairwiseForms:
+    @pytest.mark.parametrize("order", [
+        OrderPair(2.0, 3.0),
+        OrderPair(3.0, 3.0),
+        OrderPair(1.01, 1e4),
+        OrderPair(4.0, 4.0 + 1e-7),
+        OrderPair(2.0, math.inf),
+        OrderPair(math.inf, math.inf),
+    ])
+    def test_match_the_per_pair_reference(self, order):
+        for matrix in _pairwise_channels():
+            channel = Channel(matrix)
+            result = maximal_alpha_beta_leakage(channel, order)
+            value, i, j = _pairwise_reference(channel.matrix, order)
+            assert result.value == LeakageValue(value)
+            assert result.maximizing_x_prime == i
+            assert np.array_equal(result.maximizing_distribution.weights, np.eye(len(matrix))[j])
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]],  # the second tied column holds the first pair
+        [[0.25, 0.5, 0.25], [0.5, 0.25, 0.25]],  # the first one does
+    ])
+    def test_first_witness_wins_between_tied_columns(self, rows):
+        # columns 0 and 1 tie for the largest range, log 2, at the pairs
+        # (0, 1) and (1, 0); (0, 1) comes first in row-major order
+        result = maximal_alpha_beta_leakage(Channel(np.array(rows)), OrderPair(math.inf, math.inf))
+        assert result.value.nats == math.log(0.5) - math.log(0.25)
+        assert result.maximizing_x_prime == 0
+        assert list(result.maximizing_distribution.weights) == [0.0, 1.0]
