@@ -21,11 +21,13 @@ def logsumexp(a: np.ndarray, axis=None, temperature: float = 1.0):
     slices reduce to -inf without warnings.
     """
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
+    # the ufunc reductions are np.max and np.sum without their wrappers,
+    # which cost more than the arithmetic on the small arrays served here
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         scaled = a - shift if temperature == 1.0 else temperature * (a - shift)
-        out = np.log(np.sum(np.exp(scaled), axis=axis, keepdims=True)) / temperature + shift
+        out = np.log(np.add.reduce(np.exp(scaled), axis=axis, keepdims=True)) / temperature + shift
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

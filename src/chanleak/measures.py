@@ -340,7 +340,8 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
         return math.inf, *pair
     # each column is now all zero or all positive; the product needs the positive ones
     live = logP[:, ~zero[0]]
-    low, high = live.min(axis=1, keepdims=True), live.max(axis=1, keepdims=True)
+    low = np.minimum.reduce(live, axis=1, keepdims=True)
+    high = np.maximum.reduce(live, axis=1, keepdims=True)
     spread = -float(low.min())  # the largest |log P|, as no entry exceeds 1 beyond rounding
     t = 1.0 if math.isfinite(beta * spread) else beta
     ref_exp, num_exp = (1.0 - beta) / t, beta / t
@@ -351,7 +352,8 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
     table[under] = -np.inf
     delta = 32.0 * _EPS * ((abs(ref_exp) + num_exp) * spread + m + 1000.0)
     recompute = (table >= table.max() - delta) | under
-    rows, cols = np.flatnonzero(recompute.any(axis=1)), np.flatnonzero(recompute.any(axis=0))
+    rows = np.flatnonzero(np.logical_or.reduce(recompute, axis=1))
+    cols = np.flatnonzero(np.logical_or.reduce(recompute, axis=0))
     exact = pref * t * _power_table(logP[rows], ref_exp, logP[cols], num_exp, t)
     i, j = divmod(int(np.argmax(exact)), len(cols))
     return float(exact[i, j]), int(rows[i]), int(cols[j])
