@@ -26,8 +26,8 @@ def logsumexp(a: np.ndarray, axis=None, temperature: float = 1.0):
     m = np.maximum.reduce(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        scaled = a - shift if temperature == 1.0 else temperature * (a - shift)
+        scaled = temperature * (a - shift)  # exact at t = 1, as is the division below
         out = np.log(np.add.reduce(np.exp(scaled), axis=axis, keepdims=True)) / temperature + shift
     if axis is None:
         return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+    return out.squeeze(axis)

@@ -148,8 +148,8 @@ def _log_terms(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float)
         return np.broadcast_to(num_part, (ref.shape[0],) + num.shape)
     with np.errstate(invalid="ignore"):
         terms = (ref_exp * ref)[:, None, :] + num_part[None, :, :]
-    np.copyto(terms, np.inf, where=np.isneginf(ref)[:, None, :])
-    np.copyto(terms, -np.inf, where=np.isneginf(num)[None, :, :])
+    np.copyto(terms, np.inf, where=(ref == -np.inf)[:, None, :])
+    np.copyto(terms, -np.inf, where=(num == -np.inf)[None, :, :])
     return terms
 
 
@@ -334,7 +334,7 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
     plain one.
     """
     m = logP.shape[1]
-    zero = np.isneginf(logP)
+    zero = logP == -np.inf
     pair = _first_infinite_pair(zero)
     if pair is not None:
         return math.inf, *pair
@@ -342,7 +342,8 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
     live = logP[:, ~zero[0]]
     low = np.minimum.reduce(live, axis=1, keepdims=True)
     high = np.maximum.reduce(live, axis=1, keepdims=True)
-    spread = -float(low.min())  # the largest |log P|, as no entry exceeds 1 beyond rounding
+    # the largest |log P|, as no entry exceeds 1 beyond rounding
+    spread = -float(np.minimum.reduce(low, axis=None))
     t = 1.0 if math.isfinite(beta * spread) else beta
     ref_exp, num_exp = (1.0 - beta) / t, beta / t
     with np.errstate(over="ignore", divide="ignore"):
@@ -351,11 +352,11 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
     under = products < _UNDERFLOW_FLOOR
     table[under] = -np.inf
     delta = 32.0 * _EPS * ((abs(ref_exp) + num_exp) * spread + m + 1000.0)
-    recompute = (table >= table.max() - delta) | under
-    rows = np.flatnonzero(np.logical_or.reduce(recompute, axis=1))
-    cols = np.flatnonzero(np.logical_or.reduce(recompute, axis=0))
+    recompute = (table >= np.maximum.reduce(table, axis=None) - delta) | under
+    rows = np.logical_or.reduce(recompute, axis=1).nonzero()[0]
+    cols = np.logical_or.reduce(recompute, axis=0).nonzero()[0]
     exact = pref * t * _power_table(logP[rows], ref_exp, logP[cols], num_exp, t)
-    i, j = divmod(int(np.argmax(exact)), len(cols))
+    i, j = divmod(int(exact.argmax()), len(cols))
     return float(exact[i, j]), int(rows[i]), int(cols[j])
 
 
@@ -377,7 +378,7 @@ def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
     one at a time, to find the first such pair in row-major order.
     """
     n = logP.shape[0]
-    zero = np.isneginf(logP)
+    zero = logP == -np.inf
     pair = _first_infinite_pair(zero)
     if pair is not None:
         return math.inf, *pair
