@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -150,7 +149,7 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
         for k in range(len(p)):
             def objective(q, r=R[k]):
                 return float(r @ (q @ A) ** c)
-            yield grad[k], c * (c - 1.0), A * S[k], objective, partial(objective, p[k])
+            yield grad[k], c * (c - 1.0), A * S[k], objective, objective
 
     return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, config, (R, shift))
 
@@ -186,7 +185,8 @@ def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> Optimiz
     def newton_terms(p):
         d = divergences(p[0])
         Z = reached / np.sqrt(p[0] @ reached)
-        yield d, -1.0, Z, lambda q: information(q, divergences(q)), partial(information, p[0], d)
+        # the last term is the objective at p[0] alone, from the divergences formed there
+        yield d, -1.0, Z, lambda q: information(q, divergences(q)), lambda q: information(q, d)
 
     return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, config)[1]
 
@@ -198,10 +198,9 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
     ``bracket(p, *rows)`` gives each live row's lower end, upper end and
     log multiplicative step. ``newton_terms(p, *rows)`` yields, row by row,
     the arguments of :func:`_newton_step` after the point, all worked out
-    from p before its first row moves.
-    A row whose upper end falls below the best lower end by more than
-    rounding (``scale`` times that of ``terms`` terms) leaves with its
-    ``rows`` state; the best never does.
+    from p before its first row moves. A row whose upper end falls below
+    the best lower end by more than rounding (``scale`` times that of
+    ``terms`` terms) leaves with its ``rows`` state; the best never does.
     The gap is the largest upper end, departed rows' included, minus the
     value. Returns the best row's original index (the last among ties) and
     its report.
@@ -250,7 +249,7 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
 
 
 def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarray, objective,
-                 before) -> np.ndarray:
+                 at_p) -> np.ndarray:
     """One safeguarded Newton step of a concave objective on the simplex.
 
     The free inputs are those that carry weight (above ``_FREE_WEIGHT`` of
@@ -261,8 +260,9 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarra
     delta a ridge of ``_RIDGE`` |tr H|; an entering input that the
     direction would push below zero is fixed again and the system solved
     without it. The step runs to the largest t <= 1 that keeps p >= 0, and
-    t is halved until ``objective`` does not drop below its value at p,
-    which ``before()`` gives, called only once a step is to be tried.
+    t is halved until ``objective`` does not drop below its value at p.
+    That value is ``at_p(p)``, asked for only once a step is to be tried;
+    ``at_p`` may reuse what was computed at p, and serves at p alone.
     Returns the new point, renormalized, or p itself when no step
     qualifies.
     """
@@ -294,7 +294,7 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarra
     base = p[free]
     shrink = d < 0.0
     t = min(1.0, float(np.min(base[shrink] / -d[shrink]))) if shrink.any() else 1.0
-    start = before()
+    start = at_p(p)
     for _ in range(_MAX_HALVINGS + 1):
         q = p.copy()
         q[free] = np.maximum(base + t * d, 0.0)
