@@ -128,21 +128,9 @@ def _require(args: argparse.Namespace, parser_error, names: tuple[str, ...]) -> 
             parser_error(f"--measure {args.measure} requires --{name}")
 
 
-# Default certification for the search path, an order looser than the
-# library's 1e-9. Speed does not call for it: the solver certifies 1e-9 on
-# 100x100 channels in under a hundred steps. It stays because the
-# tolerance sets where the search stops, so the last of the 12 digits that
-# `compute` and `sweep` print can move with it.
-_SEARCH_TOLERANCE = 1e-8
-
-
-def _search_config(tolerance: float | None) -> OptimizerConfig:
-    return OptimizerConfig(tolerance=_SEARCH_TOLERANCE if tolerance is None else tolerance)
-
-
 def _evaluate_measure(channel: Channel, args: argparse.Namespace,
                       error) -> tuple[float, MeasureResult | None, OptimizerReport | None]:
-    config = _search_config(args.tolerance)
+    config = OptimizerConfig() if args.tolerance is None else OptimizerConfig(tolerance=args.tolerance)
     name = args.measure
     if name == "abl":
         _require(args, error, ("alpha", "beta"))
@@ -167,7 +155,7 @@ def _evaluate_measure(channel: Channel, args: argparse.Namespace,
         result = alpha_tau_leakage(channel, args.alpha, args.tau, config)
         return result.value.nats, result, result.report
     if name == "capacity":
-        report = maximize_information(channel.matrix, OptimizerConfig() if args.tolerance is None else config)
+        report = maximize_information(channel.matrix, config)
         return report.value, None, report
     raise AssertionError(name)
 
@@ -205,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     by_tau = args.tau is not None
     cells = [(a, s) for a in args.alpha for s in (args.tau if by_tau else args.beta)]
     orders = [alpha_tau_order(a, s) if by_tau else OrderPair(a, s) for a, s in cells]
-    config = _search_config(args.tolerance)
+    config = OptimizerConfig() if args.tolerance is None else OptimizerConfig(tolerance=args.tolerance)
     results = [maximal_alpha_beta_leakage(channel, order, config) for order in orders]
 
     lines = ["alpha,tau,value_nats" if by_tau else "alpha,beta,value_nats"]
@@ -395,7 +383,7 @@ def cmd_verify(args: argparse.Namespace, error) -> int:
         channels = [_random_channel(rng, 3, 3, args.allow_zeros) for _ in range(args.random)]
 
     gap = max(min(args.tolerance * 1e-2, 1e-8), 1e-12)
-    config = OptimizerConfig(tolerance=gap, max_iterations=20_000)
+    config = OptimizerConfig(tolerance=gap)
     failures = 0
     results = list(_verify_battery(channels, rng, config, args.allow_zeros, args.tolerance))
     for name, slack, threshold in results:

@@ -18,8 +18,13 @@ leakage at (inf, 1), and channel capacity in the alpha -> 1 limit (served
 by :func:`chanleak.optim.maximize_information`).
 
 Every closed form and inner evaluation here is one power sum
-sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain. The zero
-conventions are written once, in ``_log_terms``: 0^0 = 1 (at beta = 1 the
+sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain. Two edges of
+the order square are settled once, in the dispatcher, for every branch.
+At beta > 1 a pair (x', x) where x reaches an output x' misses makes the
+value +inf, with x' and the point mass at x as witness. A closed form at
+beta above ``_HUGE_BETA``, the only range where beta log P can overflow,
+takes its beta = inf form. The power-sum conventions of the inner
+evaluations are written once, in ``_log_terms``: 0^0 = 1 (at beta = 1 the
 reference row drops out), and a zero reference entry P(y|x') = 0 raised
 to the negative power 1 - beta < 0 yields +inf when the alpha-mixture at
 y is positive but contributes nothing when the mixture is zero as well.
@@ -78,7 +83,10 @@ class MeasureResult:
     ``maximizing_distribution`` is the optimizing mixture weight vector
     when the concave path ran, the vertex point mass when a closed form
     over input pairs ran, and None for the closed forms whose optimum is
-    not a single distribution. ``report`` is present only when the
+    not a single distribution. A +inf value carries the pair that proves
+    it, in every branch: ``maximizing_x_prime`` is x' and the distribution
+    is the point mass at an input x that reaches an output x' misses.
+    ``report`` is present only when the
     simplex optimizer ran; its ``certified_gap`` bounds how far ``value``
     can sit below the true supremum.
     """
@@ -153,21 +161,18 @@ def _log_terms(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float)
     return terms
 
 
-def _power_table(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float,
-                 temperature: float = 1.0) -> np.ndarray:
+def _power_table(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float) -> np.ndarray:
     """The (K, L) table of the log-sum-exp over y of :func:`_log_terms`.
 
-    The log-sum-exp is taken at ``temperature`` (see
-    :func:`chanleak._logdomain.logsumexp`). The terms are built a chunk of
-    reference rows at a time, so the memory in use stays near
-    ``_CHUNK_ELEMENTS`` entries whatever K is.
+    The terms are built a chunk of reference rows at a time, so the memory
+    in use stays near ``_CHUNK_ELEMENTS`` entries whatever K is.
     """
     n_num, m = num.shape
     step = max(1, _CHUNK_ELEMENTS // (n_num * m))
     table = np.empty((ref.shape[0], n_num))
     for start in range(0, ref.shape[0], step):
         terms = _log_terms(ref[start:start + step], ref_exp, num, num_exp)
-        table[start:start + step] = _logsumexp(terms, axis=2, temperature=temperature)
+        table[start:start + step] = _logsumexp(terms, axis=2)
     return table
 
 
@@ -282,29 +287,32 @@ _EPS = float(np.finfo(float).eps)
 def _first_infinite_pair(zero: np.ndarray) -> tuple[int, int] | None:
     """The first pair (x', x) in row-major order such that x reaches an output x' misses.
 
-    ``zero`` marks the zero entries of the channel. Such a pair makes
-    every pairwise form +inf. None when no column mixes zero and positive
-    entries.
+    ``zero`` marks the zero entries of the channel. At beta > 1 such a
+    pair makes the family +inf in every branch. None when no column mixes
+    zero and positive entries.
     """
     differs = zero != zero[0]
     if not differs.any():
         return None
-    missed = zero[:, differs.any(axis=0)].astype(float)
-    i, j = divmod(int(np.argmax(missed @ (1.0 - missed).T > 0.0)), len(zero))
+    # x' is the first row with a zero in a column that mixes zero and
+    # positive entries, and x the first row positive in one of those columns of x'
+    missed = zero & differs.any(axis=0)
+    i = int(np.argmax(np.logical_or.reduce(missed, axis=1)))
+    j = int(np.argmax(np.logical_or.reduce(~zero[:, missed[i]], axis=1)))
     return i, j
 
 
 def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[float, int, int]:
-    """max over input pairs (x', x) of pref * log sum_y P(y|x')^(1-beta) P(y|x)^beta, beta > 1.
+    """max over input pairs (x', x) of pref * log sum_y P(y|x')^(1-beta) P(y|x)^beta.
 
-    Returns the value and the first maximizing pair in row-major order,
-    bit for bit what :func:`_power_table` over all n^2 pairs gives,
-    without forming it:
+    Takes 1 < beta <= ``_HUGE_BETA`` and a channel whose every column is
+    all zero or all positive, which the dispatcher has settled. Returns
+    the value and the first maximizing pair in row-major order, bit for
+    bit what :func:`_power_table` over all n^2 pairs gives, without
+    forming it:
 
-    - A pair whose x reaches an output x' misses is +inf; the first one is
-      found with one 0/1 matrix product.
-    - Otherwise one matrix product ranks every pair in a row-shifted
-      linear domain: log sum_y A(x', y) B(x, y) plus the shifts, with
+    - One matrix product ranks every pair in a row-shifted linear domain:
+      log sum_y A(x', y) B(x, y) plus the shifts, with
       A = exp((1-beta) (log P - low)) and B = exp(beta (log P - high)) over
       the outputs some input reaches, low and high the least and largest
       log P of the row, so that no entry exceeds 1 and each row holds a 1.
@@ -326,36 +334,23 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
       and columns keep their order, so its first maximum in row-major
       order is the first of all n^2 pairs. Usually it is 1 x 1; it has
       n^2 pairs only where that many tie or underflow.
-
-    Where beta max |log P| overflows, the terms are taken at temperature
-    beta: the exponents are divided by beta and the sums reduced as
-    log(sum exp(beta u)) / beta, so that no term overflows into
-    inf - inf. Elsewhere the temperature is 1 and the arithmetic is the
-    plain one.
     """
     m = logP.shape[1]
-    zero = logP == -np.inf
-    pair = _first_infinite_pair(zero)
-    if pair is not None:
-        return math.inf, *pair
-    # each column is now all zero or all positive; the product needs the positive ones
-    live = logP[:, ~zero[0]]
+    live = logP[:, logP[0] > -np.inf]
     low = np.minimum.reduce(live, axis=1, keepdims=True)
     high = np.maximum.reduce(live, axis=1, keepdims=True)
     # the largest |log P|, as no entry exceeds 1 beyond rounding
     spread = -float(np.minimum.reduce(low, axis=None))
-    t = 1.0 if math.isfinite(beta * spread) else beta
-    ref_exp, num_exp = (1.0 - beta) / t, beta / t
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(divide="ignore"):
         products = np.exp((1.0 - beta) * (live - low)) @ np.exp(beta * (live - high)).T
-        table = ref_exp * low + (num_exp * high).T + np.log(products) / t
+        table = (1.0 - beta) * low + (beta * high).T + np.log(products)
     under = products < _UNDERFLOW_FLOOR
     table[under] = -np.inf
-    delta = 32.0 * _EPS * ((abs(ref_exp) + num_exp) * spread + m + 1000.0)
+    delta = 32.0 * _EPS * ((abs(1.0 - beta) + beta) * spread + m + 1000.0)
     recompute = (table >= np.maximum.reduce(table, axis=None) - delta) | under
     rows = np.logical_or.reduce(recompute, axis=1).nonzero()[0]
     cols = np.logical_or.reduce(recompute, axis=0).nonzero()[0]
-    exact = pref * t * _power_table(logP[rows], ref_exp, logP[cols], num_exp, t)
+    exact = pref * _power_table(logP[rows], 1.0 - beta, logP[cols], beta)
     i, j = divmod(int(exact.argmax()), len(cols))
     return float(exact[i, j]), int(rows[i]), int(cols[j])
 
@@ -370,19 +365,15 @@ def _alpha_inf_form(logP: np.ndarray, beta: float):
 def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
     """max over (x', x) of log max over y with P(y|x) > 0 of P(y|x) / P(y|x'), and its first pair.
 
-    A pair whose x reaches an output x' misses is +inf. Otherwise every
-    column is all positive or all zero, and since rounding is monotone the
-    largest ratio is the largest column range max_x log P - min_x log P,
-    bit for bit. Only a column whose range equals it can hold a pair at
-    that ratio, so only those columns' n x n difference tables are formed,
-    one at a time, to find the first such pair in row-major order.
+    Takes a channel whose every column is all zero or all positive, which
+    the dispatcher has settled. Since rounding is monotone the largest
+    ratio is then the largest column range max_x log P - min_x log P, bit
+    for bit. Only a column whose range equals it can hold a pair at that
+    ratio, so only those columns' n x n difference tables are formed, one
+    at a time, to find the first such pair in row-major order.
     """
     n = logP.shape[0]
-    zero = logP == -np.inf
-    pair = _first_infinite_pair(zero)
-    if pair is not None:
-        return math.inf, *pair
-    columns = logP[:, ~zero[0]]
+    columns = logP[:, logP[0] > -np.inf]
     ranges = columns.max(axis=0) - columns.min(axis=0)
     ratio = ranges.max()
     hits = np.zeros((n, n), dtype=bool)
@@ -392,27 +383,46 @@ def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
     return float(ratio), i, j
 
 
-def _concave_path(channel: Channel, logP: np.ndarray, alpha: float, beta: float,
-                  config: OptimizerConfig) -> MeasureResult:
-    """Certified maximization over mixtures and reference inputs, beta < alpha."""
-    n = channel.n_inputs
+# Above this beta, and only there, beta log P can overflow, since every
+# positive double has |log P| <= 745. A closed form here is within
+# (log m + 745) / beta of its beta = inf form, times the prefactor
+# alpha/(alpha-1) of the latter: far below one ulp of any value but 0.
+_HUGE_BETA = float(np.finfo(float).max) / 746.0
+
+
+def _leakage(logP: np.ndarray, alpha: float, beta: float, config: OptimizerConfig | None,
+             pref: float | None = None) -> tuple[float, int, int | None, OptimizerReport | None]:
+    """The dispatch of :func:`maximal_alpha_beta_leakage`, from the log of the channel matrix.
+
+    Returns the value, x', the input of the point-mass witness (None when
+    the optimum is not a point mass) and the solver's report. ``pref``
+    replaces the prefactor of the pairwise power form: :func:`lrdp` passes
+    1/(alpha-1), which is not always alpha/(alpha-1)/alpha to the bit.
+    """
     if beta > 1.0:
-        matrix = channel.matrix
-        mixed = (matrix == 0.0).any(axis=0) & (matrix > 0.0).any(axis=0)
-        if mixed.any():
-            y = int(np.flatnonzero(mixed)[0])
-            i = int(np.flatnonzero(matrix[:, y] == 0.0)[0])
-            j = int(np.argmax(matrix[:, y]))
-            return MeasureResult(LeakageValue(math.inf), i, SimplexPoint.point_mass(n, j), None)
-    x_prime, report = maximize_power_sum(logP, alpha, beta, config)
-    return MeasureResult(LeakageValue(report.value), x_prime, report.maximizer, report)
+        pair = _first_infinite_pair(logP == -np.inf)
+        if pair is not None:
+            return math.inf, *pair, None
+    if beta < alpha < math.inf:
+        x_prime, report = maximize_power_sum(logP, alpha, beta, config or OptimizerConfig())
+        return report.value, x_prime, None, report
+    if beta > _HUGE_BETA:
+        ratio, i, j = _pairwise_sup_log_ratio(logP)
+        return (ratio if math.isinf(alpha) else alpha / (alpha - 1.0) * ratio), i, j, None
+    if math.isinf(alpha):
+        return *_alpha_inf_form(logP, beta), None, None
+    return *_pairwise_power_form(logP, beta, _prefactor(alpha, beta) if pref is None else pref), None
 
 
 def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
                                config: OptimizerConfig | None = None) -> MeasureResult:
     """The two-parameter family value for a channel at the given order pair.
 
-    Dispatch over the order square:
+    Two edges are settled first, for every branch. At beta > 1, an input
+    x that reaches an output x' misses makes the value +inf; the result
+    names the first such pair in row-major order. A closed form at beta
+    above ``_HUGE_BETA`` (about 2.4e305) takes its beta = inf form. Then
+    the order square dispatches:
 
     - alpha = beta = inf: pairwise sup log ratio (local differential privacy);
     - alpha = inf, beta finite: closed form with the column maximum inside;
@@ -424,22 +434,12 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
     Non-convergence of the concave path is reported through
     ``result.report.converged``, never silently.
     """
-    logP = _log_matrix(channel.matrix)
-    n = channel.n_inputs
-    a, b = order.alpha, order.beta
-    if order.alpha_infinite and order.beta_infinite:
-        value, i, j = _pairwise_sup_log_ratio(logP)
-        return MeasureResult(LeakageValue(value), i, SimplexPoint.point_mass(n, j), None)
-    if order.alpha_infinite:
-        value, i = _alpha_inf_form(logP, b)
-        return MeasureResult(LeakageValue(value), i, None, None)
-    if order.beta_infinite:
-        ratio, i, j = _pairwise_sup_log_ratio(logP)
-        return MeasureResult(LeakageValue(a / (a - 1.0) * ratio), i, SimplexPoint.point_mass(n, j), None)
-    if b >= a:
-        value, i, j = _pairwise_power_form(logP, b, _prefactor(a, b))
-        return MeasureResult(LeakageValue(value), i, SimplexPoint.point_mass(n, j), None)
-    return _concave_path(channel, logP, a, b, config or OptimizerConfig())
+    value, x_prime, x, report = _leakage(_log_matrix(channel.matrix), order.alpha, order.beta, config)
+    if report is not None:
+        point = report.maximizer
+    else:
+        point = None if x is None else SimplexPoint.point_mass(channel.n_inputs, x)
+    return MeasureResult(LeakageValue(value), x_prime, point, report)
 
 
 def maximal_leakage(channel: Channel) -> LeakageValue:
@@ -477,8 +477,7 @@ def lrdp(channel: Channel, alpha: float) -> LeakageValue:
         raise InvalidEntry("the infinite order is served by ldp")
     if math.isnan(a) or a <= 1.0:
         raise InvalidEntry(f"alpha must lie in (1, inf), got {alpha!r}")
-    value, _, _ = _pairwise_power_form(_log_matrix(channel.matrix), a, 1.0 / (a - 1.0))
-    return LeakageValue(value)
+    return LeakageValue(_leakage(_log_matrix(channel.matrix), a, a, None, 1.0 / (a - 1.0))[0])
 
 
 def lrdp_variant(channel: Channel, beta: float) -> LeakageValue:
@@ -486,8 +485,7 @@ def lrdp_variant(channel: Channel, beta: float) -> LeakageValue:
     b = float(beta)
     if math.isinf(b) or math.isnan(b) or b < 1.0:
         raise InvalidEntry(f"beta must lie in [1, inf), got {beta!r}")
-    value, _ = _alpha_inf_form(_log_matrix(channel.matrix), b)
-    return LeakageValue(value)
+    return LeakageValue(_leakage(_log_matrix(channel.matrix), math.inf, b, None)[0])
 
 
 def _checked_alpha_tau(alpha: float, tau: float) -> tuple[float, float]:

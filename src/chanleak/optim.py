@@ -105,8 +105,9 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     """Maximize the family's inner expression over x' and p, for finite beta < alpha.
 
     ``logP`` is the log of the channel matrix. At beta > 1 a zero entry in
-    a column that some input reaches makes the value +inf; the caller
-    settles that case before calling. All reference inputs run at once
+    a column that some input reaches makes the value +inf, and
+    :func:`chanleak.measures.maximal_alpha_beta_leakage` returns it, with
+    its witness pair, without calling here. All reference inputs run at once
     (one, when beta = 1 and the reference row drops out); each
     multiplicative step is two matrix products in the column-scaled domain
     exp(alpha log P - column max), where the largest entry of each column

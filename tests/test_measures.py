@@ -455,16 +455,59 @@ class TestHugeOrders:
         assert values[2] == pytest.approx(lrdp(channel, 1e200).nats, abs=1e-12)
 
     def test_huge_beta_against_a_tiny_entry_stays_finite(self):
-        # beta log P overflows at 1e306 against log 1e-300; inf - inf once made this NaN
+        # beta log P overflows at 1e306 against log 1e-300; inf - inf once made
+        # this NaN, and the alpha = inf slice once overflowed to +inf there
         channel = Channel(np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             values = [maximal_alpha_beta_leakage(channel, OrderPair(2.0, b)).value.nats
                       for b in (1e300, 1e306, math.inf)]
             renyi = lrdp(channel, 1e306).nats
+            slice_values = [maximal_alpha_beta_leakage(channel, OrderPair(math.inf, b)).value.nats
+                            for b in (1e306, 1e307)]
+            slice_values.append(lrdp_variant(channel, 1e306).nats)
         for value in values:
             assert value == pytest.approx(1380.1647614353076, rel=1e-12)
-        assert renyi == pytest.approx(ldp(channel).nats, rel=1e-12)
+        eps = ldp(channel).nats
+        assert renyi == pytest.approx(eps, rel=1e-12)
+        for value in slice_values:
+            assert value == pytest.approx(eps, rel=1e-12)
+
+
+class TestInfiniteWitness:
+    @pytest.mark.parametrize("order", [
+        OrderPair(math.inf, 2.5),
+        OrderPair(2.0, 3.0),
+        OrderPair(2.0, 2.0),
+        OrderPair(4.0, 2.0),
+        OrderPair(1.5, 1.2),
+        OrderPair(2.0, math.inf),
+        OrderPair(math.inf, math.inf),
+    ])
+    def test_every_infinite_value_names_its_pair(self, order):
+        # one rule in every branch: x' and the point mass at the first input
+        # x, in row-major order, that reaches an output x' misses
+        rng = np.random.default_rng(31)
+        infinite = 0
+        for _ in range(40):
+            n, m = (int(v) for v in rng.integers(2, 6, size=2))
+            matrix = rng.dirichlet(np.ones(m), size=n)
+            matrix[rng.random((n, m)) < 0.3] = 0.0
+            matrix[matrix.sum(axis=1) == 0.0, 0] = 1.0
+            channel = Channel(matrix / matrix.sum(axis=1, keepdims=True))
+            result = maximal_alpha_beta_leakage(channel, order)
+            zero = channel.matrix == 0.0
+            pairs = [(i, j) for i in range(n) for j in range(n) if np.any(zero[i] & ~zero[j])]
+            assert math.isinf(result.value.nats) == bool(pairs)
+            if not pairs:
+                continue
+            infinite += 1
+            x_prime, x = pairs[0]
+            assert result.maximizing_x_prime == x_prime
+            assert np.array_equal(result.maximizing_distribution.weights, np.eye(n)[x])
+            if not (order.alpha_infinite or order.beta_infinite):
+                assert inner_objective(channel, x_prime, result.maximizing_distribution, order) == math.inf
+        assert infinite >= 10
 
 
 KERNEL_CHANNELS = (
