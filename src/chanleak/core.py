@@ -3,7 +3,8 @@
 A channel is a row-stochastic matrix: entry (x, y) is the probability of
 output y given input x. Distributions are points on the probability
 simplex. All algebra is positional; labels are carried as metadata and are
-never consulted by any computation.
+never consulted by any computation. Both pass one whole-array check, which
+stores a read-only copy of the input and leaves the caller's array alone.
 """
 
 from __future__ import annotations
@@ -41,20 +42,32 @@ _TIGHT = 1e-12
 _NEGATIVE_ROUNDOFF = 1e-9
 
 
-def _as_weight_vector(raw, tolerance: float, what: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ShapeError(f"{what} must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidEntry(f"{what} contains a non-finite entry")
-    if np.any(arr < 0.0):
-        raise InvalidEntry(f"{what} contains a negative entry")
-    total = float(arr.sum())
-    if not abs(total - 1.0) < tolerance:
-        raise NotStochastic(f"{what} sums to {total!r}, outside tolerance {tolerance!r}")
-    if total != 1.0:
-        arr = arr / total
-    arr = np.ascontiguousarray(arr)
+def _stochastic(raw, ndim: int, tolerance: float, what: str) -> np.ndarray:
+    """A read-only float copy of ``raw``: ``ndim`` non-empty axes, finite
+    nonnegative entries, and every row (the vector itself at ``ndim`` 1)
+    within ``tolerance`` of sum one and divided by its sum, which leaves a
+    row that sums to exactly one as it was. A fault names its first row."""
+    try:  # in C order each row sums pairwise, bit for bit as a 1-D vector would
+        arr = np.array(raw, dtype=float, order="C")
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"{what} is not a rectangular array of numbers: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise ShapeError(f"{what} must be {ndim}-D and non-empty, got shape {arr.shape}")
+    rows = arr.reshape(-1, arr.shape[-1])
+
+    def where(marked: np.ndarray) -> str:
+        return what if ndim == 1 else f"row {int(np.argmax(marked))} of the {what}"
+
+    for bad, problem in ((~np.isfinite(rows), "contains a non-finite entry"),
+                         (rows < 0.0, "contains a negative entry")):
+        if bad.any():
+            raise InvalidEntry(f"{where(bad.any(axis=1))} {problem}")
+    sums = rows.sum(axis=1, keepdims=True)
+    off = ~(np.abs(sums[:, 0] - 1.0) < tolerance)
+    if off.any():
+        total = float(sums[np.argmax(off), 0])
+        raise NotStochastic(f"{where(off)} sums to {total!r}, outside tolerance {tolerance!r}")
+    rows /= sums
     arr.setflags(write=False)
     return arr
 
@@ -65,19 +78,18 @@ class SimplexPoint:
 
     Direct construction expects an already normalized vector (sum within
     1e-12 of one); use :meth:`from_weights` to renormalize noisier input.
-    The stored array is read-only.
+    The stored array is a read-only copy of the input.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        cleaned = _as_weight_vector(self.weights, _TIGHT, "weights")
-        object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "weights", _stochastic(self.weights, 1, _TIGHT, "weights"))
 
     @classmethod
     def from_weights(cls, raw, tolerance: float = DEFAULT_TOLERANCE) -> "SimplexPoint":
         """Build a point, renormalizing a sum that deviates by less than tolerance."""
-        return cls(_as_weight_vector(raw, tolerance, "weights"))
+        return cls(_stochastic(raw, 1, tolerance, "weights"))
 
     @classmethod
     def uniform(cls, dim: int) -> "SimplexPoint":
@@ -114,7 +126,7 @@ class Channel:
 
     Direct construction expects rows already summing to one within 1e-12;
     :func:`validate_channel` is the lenient gate for external input. The
-    stored matrix is read-only.
+    stored matrix is a read-only copy of the input.
     """
 
     matrix: np.ndarray
@@ -122,15 +134,9 @@ class Channel:
     output_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ShapeError(f"channel matrix must be 2-D and non-empty, got shape {arr.shape}")
-        rows = [_as_weight_vector(arr[i], _TIGHT, f"row {i}") for i in range(arr.shape[0])]
-        cleaned = np.ascontiguousarray(np.vstack(rows))
-        cleaned.setflags(write=False)
-        object.__setattr__(self, "matrix", cleaned)
-        object.__setattr__(self, "input_labels", _checked_labels(self.input_labels, arr.shape[0], "input"))
-        object.__setattr__(self, "output_labels", _checked_labels(self.output_labels, arr.shape[1], "output"))
+        object.__setattr__(self, "matrix", _stochastic(self.matrix, 2, _TIGHT, "channel matrix"))
+        object.__setattr__(self, "input_labels", _checked_labels(self.input_labels, self.n_inputs, "input"))
+        object.__setattr__(self, "output_labels", _checked_labels(self.output_labels, self.n_outputs, "output"))
 
     @property
     def n_inputs(self) -> int:
@@ -152,19 +158,13 @@ def validate_channel(
 ) -> Channel:
     """Validate a candidate matrix and return a :class:`Channel`.
 
-    Rows whose sums deviate from one by less than ``tolerance`` are
-    renormalized; larger deviations raise :class:`NotStochastic`. Negative
-    or non-finite entries raise :class:`InvalidEntry`; a ragged or
+    The matrix is copied and checked as a whole. Rows whose sums deviate
+    from one by less than ``tolerance`` are renormalized; larger deviations
+    raise :class:`NotStochastic`. Negative or non-finite entries raise
+    :class:`InvalidEntry`, ahead of any bad row sum; a ragged or
     non-2-D argument raises :class:`ShapeError`.
     """
-    try:
-        arr = np.asarray(matrix, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError(f"channel matrix is not rectangular: {exc}") from None
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ShapeError(f"channel matrix must be 2-D and non-empty, got shape {arr.shape}")
-    rows = [_as_weight_vector(arr[i], tolerance, f"row {i}") for i in range(arr.shape[0])]
-    return Channel(np.vstack(rows), input_labels=input_labels, output_labels=output_labels)
+    return Channel(_stochastic(matrix, 2, tolerance, "channel matrix"), input_labels, output_labels)
 
 
 def compose(first: Channel, second: Channel) -> Channel:

@@ -21,13 +21,14 @@ Every closed form and inner evaluation here is one power sum
 sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain. Two edges of
 the order square are settled once, in the dispatcher, for every branch.
 At beta > 1 a pair (x', x) where x reaches an output x' misses makes the
-value +inf, with x' and the point mass at x as witness. A closed form at
-beta above ``_HUGE_BETA``, the only range where beta log P can overflow,
-takes its beta = inf form. The power-sum conventions of the inner
-evaluations are written once, in ``_log_terms``: 0^0 = 1 (at beta = 1 the
-reference row drops out), and a zero reference entry P(y|x') = 0 raised
-to the negative power 1 - beta < 0 yields +inf when the alpha-mixture at
-y is positive but contributes nothing when the mixture is zero as well.
+value +inf, with x' and the point mass at x as witness. Above
+``_HUGE_ORDER``, where alone an order times log P can overflow, alpha is
+inf and a closed form takes its beta = inf form. The power-sum conventions
+of the inner evaluations are written once, in ``_log_terms``: 0^0 = 1 (at
+beta = 1 the reference row drops out), and a zero reference entry
+P(y|x') = 0 raised to the negative power 1 - beta < 0 yields +inf when the
+alpha-mixture at y is positive but contributes nothing when the mixture is
+zero as well.
 The chunked kernel ``_power_table`` reduces those terms for the inner
 evaluations and the alpha = inf form (the column maximum in the
 numerator). For beta >= alpha the measure is a maximum over input pairs,
@@ -305,7 +306,7 @@ def _first_infinite_pair(zero: np.ndarray) -> tuple[int, int] | None:
 def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[float, int, int]:
     """max over input pairs (x', x) of pref * log sum_y P(y|x')^(1-beta) P(y|x)^beta.
 
-    Takes 1 < beta <= ``_HUGE_BETA`` and a channel whose every column is
+    Takes 1 < beta <= ``_HUGE_ORDER`` and a channel whose every column is
     all zero or all positive, which the dispatcher has settled. Returns
     the value and the first maximizing pair in row-major order, bit for
     bit what :func:`_power_table` over all n^2 pairs gives, without
@@ -383,22 +384,22 @@ def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
     return float(ratio), i, j
 
 
-# Above this beta, and only there, beta log P can overflow, since every
-# positive double has |log P| <= 745. A closed form here is within
-# (log m + 745) / beta of its beta = inf form, times the prefactor
-# alpha/(alpha-1) of the latter: far below one ulp of any value but 0.
-_HUGE_BETA = float(np.finfo(float).max) / 746.0
+# Above this order, and only there, an order times log P can overflow, as
+# every positive double has |log P| <= 745. A closed form at such a beta is
+# within alpha/(alpha-1) (log m + 745) / beta of its beta = inf form, and
+# the family at such an alpha within (log n + |its value|) / (alpha - 1)
+# of its alpha = inf form: far below one ulp of any value but 0.
+_HUGE_ORDER = float(np.finfo(float).max) / 746.0
 
 
-def _leakage(logP: np.ndarray, alpha: float, beta: float, config: OptimizerConfig | None,
-             pref: float | None = None) -> tuple[float, int, int | None, OptimizerReport | None]:
+def _leakage(logP: np.ndarray, alpha: float, beta: float,
+             config: OptimizerConfig | None) -> tuple[float, int, int | None, OptimizerReport | None]:
     """The dispatch of :func:`maximal_alpha_beta_leakage`, from the log of the channel matrix.
 
     Returns the value, x', the input of the point-mass witness (None when
-    the optimum is not a point mass) and the solver's report. ``pref``
-    replaces the prefactor of the pairwise power form: :func:`lrdp` passes
-    1/(alpha-1), which is not always alpha/(alpha-1)/alpha to the bit.
+    the optimum is not a point mass) and the solver's report.
     """
+    alpha = math.inf if alpha > _HUGE_ORDER else alpha
     if beta > 1.0:
         pair = _first_infinite_pair(logP == -np.inf)
         if pair is not None:
@@ -406,12 +407,12 @@ def _leakage(logP: np.ndarray, alpha: float, beta: float, config: OptimizerConfi
     if beta < alpha < math.inf:
         x_prime, report = maximize_power_sum(logP, alpha, beta, config or OptimizerConfig())
         return report.value, x_prime, None, report
-    if beta > _HUGE_BETA:
+    if beta > _HUGE_ORDER:
         ratio, i, j = _pairwise_sup_log_ratio(logP)
         return (ratio if math.isinf(alpha) else alpha / (alpha - 1.0) * ratio), i, j, None
     if math.isinf(alpha):
         return *_alpha_inf_form(logP, beta), None, None
-    return *_pairwise_power_form(logP, beta, _prefactor(alpha, beta) if pref is None else pref), None
+    return *_pairwise_power_form(logP, beta, _prefactor(alpha, beta)), None
 
 
 def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
@@ -420,9 +421,9 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
 
     Two edges are settled first, for every branch. At beta > 1, an input
     x that reaches an output x' misses makes the value +inf; the result
-    names the first such pair in row-major order. A closed form at beta
-    above ``_HUGE_BETA`` (about 2.4e305) takes its beta = inf form. Then
-    the order square dispatches:
+    names the first such pair in row-major order. Above ``_HUGE_ORDER``
+    (about 2.4e305) alpha is taken as inf and a closed form at beta takes
+    its beta = inf form. Then the order square dispatches:
 
     - alpha = beta = inf: pairwise sup log ratio (local differential privacy);
     - alpha = inf, beta finite: closed form with the column maximum inside;
@@ -454,38 +455,33 @@ def maximal_alpha_leakage(channel: Channel, alpha: float,
 
 
 def ldp(channel: Channel) -> LeakageValue:
-    """Worst-case log ratio between any two rows at any output; +inf on a
-    structural zero opposite positive mass."""
-    matrix = channel.matrix
-    best = 0.0
-    for y in range(channel.n_outputs):
-        column = matrix[:, y]
-        positive = column[column > 0.0]
-        if positive.size == 0:
-            continue
-        low = float(column.min())
-        if low == 0.0:
-            return LeakageValue(math.inf)
-        best = max(best, math.log(float(positive.max()) / low))
-    return LeakageValue(best)
+    """Worst-case log ratio between any two rows at any output, a reached
+    column's max over its min; +inf on a structural zero opposite positive mass."""
+    high = channel.matrix.max(axis=0)
+    reached = high > 0.0
+    high, low = high[reached], channel.matrix.min(axis=0)[reached]
+    if not low.all():
+        return LeakageValue(math.inf)
+    with np.errstate(over="ignore"):
+        ratio = float((high / low).max())
+    # a subnormal min overflows the largest ratio, but not its log
+    return LeakageValue(math.log(ratio) if ratio < math.inf else float((np.log(high) - np.log(low)).max()))
 
 
 def lrdp(channel: Channel, alpha: float) -> LeakageValue:
-    """max over input pairs of the order-alpha Renyi divergence between rows."""
-    a = float(alpha)
-    if math.isinf(a):
+    """max over input pairs of the order-alpha Renyi divergence between rows: the family at (alpha, alpha)."""
+    order = OrderPair(alpha, alpha)
+    if order.alpha_infinite:
         raise InvalidEntry("the infinite order is served by ldp")
-    if math.isnan(a) or a <= 1.0:
-        raise InvalidEntry(f"alpha must lie in (1, inf), got {alpha!r}")
-    return LeakageValue(_leakage(_log_matrix(channel.matrix), a, a, None, 1.0 / (a - 1.0))[0])
+    return LeakageValue(_leakage(_log_matrix(channel.matrix), order.alpha, order.beta, None)[0])
 
 
 def lrdp_variant(channel: Channel, beta: float) -> LeakageValue:
     """The alpha = inf slice at finite beta; beta = 1 reduces to maximal leakage."""
-    b = float(beta)
-    if math.isinf(b) or math.isnan(b) or b < 1.0:
-        raise InvalidEntry(f"beta must lie in [1, inf), got {beta!r}")
-    return LeakageValue(_leakage(_log_matrix(channel.matrix), math.inf, b, None)[0])
+    order = OrderPair(math.inf, beta)
+    if order.beta_infinite:
+        raise InvalidEntry("the infinite order is served by ldp")
+    return LeakageValue(_leakage(_log_matrix(channel.matrix), order.alpha, order.beta, None)[0])
 
 
 def _checked_alpha_tau(alpha: float, tau: float) -> tuple[float, float]:
@@ -584,6 +580,6 @@ def shannon_capacity(channel: Channel, tolerance: float = 1e-9) -> LeakageValue:
     :func:`chanleak.optim.maximize_information` certifies; that function's
     report also says whether the bracket closed within the cap.
     """
-    if not tolerance > 0.0:
-        raise InvalidEntry(f"tolerance must be positive, got {tolerance!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise InvalidEntry(f"tolerance must be positive and finite, got {tolerance!r}")
     return LeakageValue(maximize_information(channel.matrix, OptimizerConfig(tolerance=tolerance)).value)

@@ -80,8 +80,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ShapeError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if not (self.tolerance > 0.0):
-            raise ShapeError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ShapeError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -119,6 +119,15 @@ class TestCompute:
         )
         assert r.returncode == 2
 
+    def test_infinite_tolerance_exits_two(self, channels):
+        # an infinite tolerance would certify the start point's value
+        for command in (("compute", "--measure", "abl", "--beta", "2", "--report"), ("sweep", "--beta", "2")):
+            r = run_cli(*command[:1], "--channel", channels["asym33"], "--alpha", "4",
+                        *command[1:], "--tolerance", "inf")
+            assert r.returncode == 2
+            assert r.stderr.startswith("error:")
+            assert r.stdout == ""
+
     def test_unknown_measure_exits_two(self, channels):
         r = run_cli("compute", "--channel", channels["bsc02"], "--measure", "entropy")
         assert r.returncode == 2

@@ -102,6 +102,47 @@ class TestValidateChannel:
         with pytest.raises(ValueError):
             ch.matrix[0, 0] = 0.9
 
+    def test_rows_are_divided_by_their_sums(self):
+        # validate_channel divides each row by its sum and Channel divides the
+        # result by its own sum, which leaves a row summing to exactly one as it was
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n, m = (int(v) for v in rng.integers(1, 30, size=2))
+            matrix = rng.dirichlet(np.ones(m), size=n)
+            matrix[rng.random((n, m)) < 0.3] = 0.0
+            matrix[matrix.sum(axis=1) == 0.0, 0] = 1.0
+            matrix /= matrix.sum(axis=1, keepdims=True)
+            matrix[: n // 2] *= 1.0 + rng.uniform(-1e-9, 1e-9, size=(n // 2, 1))
+            ch = validate_channel(matrix)
+            assert validate_channel(np.asfortranarray(matrix)).matrix.tobytes() == ch.matrix.tobytes()
+            for i in range(n):
+                once = matrix[i] / matrix[i].sum()
+                assert ch.matrix[i].tobytes() == (once / once.sum()).tobytes()
+                if matrix[i].sum() == 1.0:
+                    assert ch.matrix[i].tobytes() == matrix[i].tobytes()
+
+    def test_a_bad_entry_is_reported_before_a_bad_sum(self):
+        with pytest.raises(InvalidEntry):
+            validate_channel([[0.5, 0.6], [math.nan, 1.0]])
+        with pytest.raises(InvalidEntry):
+            Channel(np.array([[0.5, 0.6], [1.1, -0.1]]))
+
+
+class TestInputIsCopied:
+    def test_simplex_point_leaves_the_caller_array_alone(self):
+        w = np.array([0.25, 0.75])
+        p = SimplexPoint(w)
+        assert not np.shares_memory(w, p.weights)
+        w[0] = 0.5  # still writeable
+        np.testing.assert_array_equal(p.weights, [0.25, 0.75])
+
+    def test_channel_leaves_the_caller_array_alone(self):
+        matrix = np.array([[0.5, 0.5], [0.2, 0.8]])
+        for ch in (Channel(matrix), validate_channel(matrix)):
+            assert not np.shares_memory(matrix, ch.matrix)
+        matrix[0, 0] = 0.9  # still writeable
+        np.testing.assert_array_equal(ch.matrix, [[0.5, 0.5], [0.2, 0.8]])
+
 
 class TestCompose:
     def test_identity_is_neutral(self):

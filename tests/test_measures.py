@@ -192,6 +192,31 @@ class TestZeroConventions:
         ch = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert math.isinf(ldp(ch).nats)
 
+    def test_ldp_matches_the_column_loop(self):
+        # a per-column loop as the reference, on channels with zeros and dead columns
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            n, m = (int(v) for v in rng.integers(1, 7, size=2))
+            matrix = rng.dirichlet(np.ones(m), size=n)
+            matrix[rng.random((n, m)) < 0.2] = 0.0
+            matrix[:, rng.random(m) < 0.2] = 0.0
+            matrix[matrix.sum(axis=1) == 0.0, 0] = 1.0
+            channel = Channel(matrix / matrix.sum(axis=1, keepdims=True))
+            best = 0.0
+            for column in channel.matrix.T:
+                if column.max() > 0.0:
+                    best = max(best, math.inf if column.min() == 0.0 else math.log(column.max() / column.min()))
+            assert ldp(channel).nats == best
+
+    def test_ldp_finite_on_a_subnormal_entry(self):
+        # 0.5 / 1e-310 overflows, but no column mixes zero and positive entries
+        ch = Channel(np.array([[1.0 - 1e-310, 1e-310], [0.5, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            eps = ldp(ch).nats
+        assert eps == maximal_alpha_beta_leakage(ch, OrderPair(math.inf, math.inf)).value.nats
+        assert eps == pytest.approx(math.log(0.5) - math.log(1e-310), rel=1e-15)
+
     def test_dead_output_column_is_ignored(self):
         with_dead = Channel(np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]))
         without = Channel(np.array([[0.5, 0.5], [0.2, 0.8]]))
@@ -439,6 +464,18 @@ class TestArgumentChecking:
         with pytest.raises(InvalidEntry):
             lrdp_variant(bsc(0.2), math.inf)
 
+    def test_lrdp_is_the_family_at_alpha_alpha(self):
+        # one prefactor: lrdp is the (alpha, alpha) member to the bit
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            ch = random_channel(rng, 4, 3)
+            for alpha in (1.5, 2.0, 3.7, 4.0, 17.3, 1e3):
+                assert lrdp(ch, alpha).nats == maximal_alpha_beta_leakage(ch, OrderPair(alpha, alpha)).value.nats
+
+    def test_capacity_tolerance_must_be_finite(self):
+        with pytest.raises(InvalidEntry):
+            shannon_capacity(bsc(0.2), tolerance=math.inf)
+
     def test_lrdp_variant_at_beta_one_is_maximal_leakage(self):
         rng = np.random.default_rng(27)
         ch = random_channel(rng, 3, 4)
@@ -472,6 +509,26 @@ class TestHugeOrders:
         assert renyi == pytest.approx(eps, rel=1e-12)
         for value in slice_values:
             assert value == pytest.approx(eps, rel=1e-12)
+
+    def test_huge_alpha_takes_its_infinite_form(self):
+        # alpha log P overflows past 2.4e305 as well, so there the family
+        # takes its alpha = inf form, without a warning
+        tiny = Channel(np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]]))
+        plain = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for channel, alpha, beta, limit in (
+                (tiny, 1e308, 1e307, OrderPair(math.inf, math.inf)),
+                (tiny, 1e306, 2.0, OrderPair(math.inf, 2.0)),
+                (tiny, 1e306, 1e300, OrderPair(math.inf, 1e300)),
+                (plain, 1e308, 1e307, OrderPair(math.inf, math.inf)),
+            ):
+                value = maximal_alpha_beta_leakage(channel, OrderPair(alpha, beta)).value.nats
+                assert value == maximal_alpha_beta_leakage(channel, limit).value.nats
+        assert maximal_alpha_beta_leakage(tiny, OrderPair(1e308, 1e307)).value.nats == 690.0823807176538
+        assert maximal_alpha_beta_leakage(tiny, OrderPair(1e306, 2.0)).value.nats == 344.6946167685469
+        assert maximal_alpha_beta_leakage(plain, OrderPair(1e308, 1e307)).value.nats == pytest.approx(
+            math.log(8.0), rel=1e-15)
 
 
 class TestInfiniteWitness:

@@ -95,6 +95,10 @@ class TestConfig:
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ShapeError):
             OptimizerConfig(tolerance=-1e-9)
+        # an infinite tolerance would certify the start point
+        for tolerance in (float("inf"), float("nan")):
+            with pytest.raises(ShapeError):
+                OptimizerConfig(tolerance=tolerance)
 
     def test_iteration_budget_reported_honestly(self):
         rng = np.random.default_rng(24)

@@ -24,10 +24,11 @@ def channels(draw):
     return Channel(matrix / matrix.sum(axis=1, keepdims=True))
 
 
-@given(channels(), st.sampled_from([1.5, 2.0, 4.0, math.inf]))
+@given(channels(), st.sampled_from([1.5, 2.0, 4.0, 1e305, 1e306, 1e308, math.inf]))
 def test_family_is_nondecreasing_in_beta(channel, alpha):
     # beta = 1 runs the solver, beta = alpha the pairwise closed form, and
-    # from 1e306 on the closed forms take their beta = inf form
+    # from 1e306 on the closed forms take their beta = inf form and alpha
+    # is taken as inf
     betas = sorted({1.0, alpha, 1e300, 1e305, 1e306, 1e308, math.inf})
     values = [maximal_alpha_beta_leakage(channel, OrderPair(alpha, b)).value.nats for b in betas]
     for earlier, later in zip(values, values[1:]):
