@@ -62,7 +62,8 @@ def _stochastic(raw, ndim: int, tolerance: float, what: str) -> np.ndarray:
                          (rows < 0.0, "contains a negative entry")):
         if bad.any():
             raise InvalidEntry(f"{where(bad.any(axis=1))} {problem}")
-    sums = rows.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, and off
+        sums = rows.sum(axis=1, keepdims=True)
     off = ~(np.abs(sums[:, 0] - 1.0) < tolerance)
     if off.any():
         total = float(sums[np.argmax(off), 0])

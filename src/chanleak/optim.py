@@ -18,13 +18,21 @@ Arimoto, which Arimoto extended to order-alpha capacity. Capacity itself is
 the second problem here: I(q) <= C <= max over x of D(P_x || qP) at every q.
 
 That scheme alone converges sublinearly where weights decay toward 0, so
-each multiplicative step is followed by one safeguarded Newton step
-(:func:`_newton_step`) on the inputs that carry weight; the two together
-certify in tens of steps where the multiplicative steps alone take
-thousands. The Newton step is accepted only where the objective does not
-drop, so the iterates still ascend, and since the bracket holds at every
-point, it can only close the bracket sooner. Both problems share one
-loop, which also drops a reference input once its bracket shows it cannot win.
+the leading rows (the one holding the best lower end of the bracket and
+the one holding the largest upper end, exact ties included) follow each
+multiplicative step with one safeguarded projected Newton step
+(:func:`_newton_step`) on the inputs that carry weight. The step moves
+along the projection arc max(p + t d, 0) of Bertsekas ("Projected Newton
+methods for optimization problems with simple constraints", SIAM J.
+Control Optim. 1982), so every input it drives to zero leaves in the same
+step rather than one per step; the two kinds of step together certify in
+a handful of steps where the multiplicative steps alone take thousands.
+The Newton step is accepted only where the objective does not drop, so the
+iterates still ascend, and since the bracket holds at every point, it can
+only close the bracket sooner. The other rows take only the cheap batched
+multiplicative step until they are dropped or take the lead. Both
+problems share one loop, which also drops a reference input once its
+bracket shows it cannot win.
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ _FREE_WEIGHT = 1e-9
 # Ridge on the free Hessian, relative to its trace: duplicated rows and
 # more inputs than outputs make the Hessian singular.
 _RIDGE = 1e-13
-# The Newton step length is halved at most this many times.
+# The Newton step length is halved at most this many times along the
+# projection arc, and as many times again from the first blocking length.
 _MAX_HALVINGS = 20
 
 
@@ -70,8 +79,9 @@ class OptimizerConfig:
     """Knobs for :func:`maximize_power_sum` and :func:`maximize_information`.
 
     ``tolerance`` bounds the certified gap at exit; ``max_iterations``, an
-    integer, caps the number of steps, each one multiplicative step
-    followed by one Newton step per row still in the race.
+    integer, caps the number of steps, each one multiplicative step for
+    every row still in the race followed by one Newton step for each of
+    the rows that lead it.
     """
 
     max_iterations: int = 10_000
@@ -111,9 +121,9 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     (one, when beta = 1 and the reference row drops out); each
     multiplicative step is two matrix products in the column-scaled domain
     exp(alpha log P - column max), where the largest entry of each column
-    is 1 at any alpha, and is followed by a Newton step per row. A row
-    whose upper end falls below the best lower end by more than rounding
-    is dropped; the row holding the best lower end never is.
+    is 1 at any alpha, and is followed by a Newton step for the leading
+    rows. A row whose upper end falls below the best lower end by more
+    than rounding is dropped; the row holding the best lower end never is.
 
     Returns the winning reference input (the last one among exact ties)
     and the report of its mixture. The certified gap is the largest upper
@@ -150,7 +160,7 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
         for k in range(len(p)):
             def objective(q, r=R[k]):
                 return float(r @ (q @ A) ** c)
-            yield grad[k], c * (c - 1.0), A * S[k], objective, objective
+            yield grad[k], c * (c - 1.0), A, S[k], objective, objective
 
     return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, config, (R, shift))
 
@@ -185,9 +195,9 @@ def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> Optimiz
 
     def newton_terms(p):
         d = divergences(p[0])
-        Z = reached / np.sqrt(p[0] @ reached)
         # the last term is the objective at p[0] alone, from the divergences formed there
-        yield d, -1.0, Z, lambda q: information(q, divergences(q)), lambda q: information(q, d)
+        yield (d, -1.0, reached, 1.0 / np.sqrt(p[0] @ reached),
+               lambda q: information(q, divergences(q)), lambda q: information(q, d))
 
     return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, config)[1]
 
@@ -197,14 +207,18 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
     """The certified ascent both solvers share, from the start weights p, one row per problem.
 
     ``bracket(p, *rows)`` gives each live row's lower end, upper end and
-    log multiplicative step. ``newton_terms(p, *rows)`` yields, row by row,
-    the arguments of :func:`_newton_step` after the point, all worked out
-    from p before its first row moves. A row whose upper end falls below
-    the best lower end by more than rounding (``scale`` times that of
-    ``terms`` terms) leaves with its ``rows`` state; the best never does.
-    The gap is the largest upper end, departed rows' included, minus the
-    value. Returns the best row's original index (the last among ties) and
-    its report.
+    log multiplicative step. Every live row takes the multiplicative step;
+    then the leading rows, those whose lower end equals the best one or
+    whose upper end equals the largest one, take a Newton step.
+    ``newton_terms(p, *rows)``, given the leading rows only, yields row by
+    row the arguments of :func:`_newton_step` after the point, all worked
+    out from p before its first row moves. Exact equality keeps rows that
+    tie exactly stepping alike. A row whose upper end falls below the best
+    lower end by more than rounding (``scale`` times that of ``terms``
+    terms) leaves with its ``rows`` state; the best never does. The gap is
+    the largest upper end, departed rows' included, minus the value.
+    Returns the best row's original index (the last among ties) and its
+    report.
     """
     live = np.arange(len(p))  # the original index of each row still in the race
     pruned_upper = -math.inf
@@ -217,24 +231,32 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
             best = len(lower) - 1 - int(np.argmax(lower[::-1]))
             value = float(lower[best])
             floor = _ROUNDING_ULPS * terms * _EPS * max(scale, abs(value))
-            gap = max(max(float(upper.max()), pruned_upper) - value, floor)
+            top = float(upper.max())
+            gap = max(max(top, pruned_upper) - value, floor)
             if not math.isfinite(gap):
                 raise NumericalFailure("the certified bracket is not finite")
             if gap <= max(config.tolerance * _MARGIN, floor) or iterations == config.max_iterations:
                 break
-            # a row whose upper end sits below the best lower end can never
-            # win: its supremum lies below that of the best row
-            keep = upper >= value - floor
-            keep[best] = True
-            if not keep.all():
-                pruned_upper = max(pruned_upper, float(upper[~keep].max()))
-                live, logp, step = live[keep], logp[keep], step[keep]
-                rows = tuple(state[keep] for state in rows)
+            lead = range(len(p))  # a lone row is the best row, and leads
+            if len(p) > 1:
+                # a row whose upper end sits below the best lower end can
+                # never win: its supremum lies below that of the best row
+                keep = upper >= value - floor
+                keep[best] = True
+                if not keep.all():
+                    pruned_upper = max(pruned_upper, float(upper[~keep].max()))
+                    live, logp, step, lower, upper = live[keep], logp[keep], step[keep], lower[keep], upper[keep]
+                    rows = tuple(state[keep] for state in rows)
+                lead = np.flatnonzero((lower == value) | (upper == top)).tolist()
             logp += step
             logp = np.maximum(logp - logp.max(axis=1, keepdims=True), _LOG_WEIGHT_FLOOR)
             p = np.exp(logp)
             p /= p.sum(axis=1, keepdims=True)
-            for k, args in enumerate(newton_terms(p, *rows)):
+            if len(lead) == len(p):
+                leading = newton_terms(p, *rows)
+            else:
+                leading = newton_terms(p[lead], *(state[lead] for state in rows))
+            for k, args in zip(lead, leading):
                 p[k] = _newton_step(p[k], *args)
             p = np.maximum(p, math.exp(_LOG_WEIGHT_FLOOR) * p.max(axis=1, keepdims=True))
             logp = np.log(p / p.max(axis=1, keepdims=True))
@@ -249,32 +271,37 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
     return int(live[best]), report
 
 
-def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarray, objective,
-                 at_p) -> np.ndarray:
-    """One safeguarded Newton step of a concave objective on the simplex.
+def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, factor: np.ndarray,
+                 scale: np.ndarray, objective, at_p) -> np.ndarray:
+    """One safeguarded projected Newton step of a concave objective on the simplex.
 
     The free inputs are those that carry weight (above ``_FREE_WEIGHT`` of
     the largest) and those that enter: their gradient exceeds <p, grad>,
     so they would gain weight; the others stay fixed. The Hessian on them
-    is H = ``curvature`` Z_F Z_F^T, curvature < 0. The direction solves the
-    bordered system [[H - delta I, 1], [1^T, 0]] [d; lambda] = [-grad; 0],
-    delta a ridge of ``_RIDGE`` |tr H|; an entering input that the
-    direction would push below zero is fixed again and the system solved
-    without it. The step runs to the largest t <= 1 that keeps p >= 0, and
-    t is halved until ``objective`` does not drop below its value at p.
-    That value is ``at_p(p)``, asked for only once a step is to be tried;
-    ``at_p`` may reuse what was computed at p, and serves at p alone.
-    Returns the new point, renormalized, or p itself when no step
-    qualifies.
+    is H = ``curvature`` Z_F Z_F^T, curvature < 0, with Z_F the free rows
+    of ``factor`` times the column ``scale``, formed once. The direction
+    solves the bordered system [[H - delta I, 1], [1^T, 0]] [d; lambda] =
+    [-grad; 0], delta a ridge of ``_RIDGE`` |tr H|; an entering input that
+    the direction would push below zero is fixed again and the system
+    solved without it. Lengths t = 1, 1/2, ... above the first t that
+    drives an input to zero try the projection arc max(p + t d, 0), so
+    every input the step blocks leaves at once (Bertsekas's projected
+    Newton method); then t runs from that first blocking length, halved
+    each time. A point is taken only where ``objective`` does not drop
+    below its value at p. That value is ``at_p(p)``, asked for only once
+    a step is to be tried; ``at_p`` may reuse what was computed at p, and
+    serves at p alone. Returns the new point, renormalized, or p itself
+    when no step qualifies.
     """
     held = p > _FREE_WEIGHT * p.max()
-    free = held | (grad > p @ grad)
-    while True:
-        k = int(np.count_nonzero(free))
-        if k < 2:
-            return p
-        with np.errstate(all="ignore"):
-            H = curvature * (Z[free] @ Z[free].T)
+    free = np.flatnonzero(held | (grad > p @ grad))
+    with np.errstate(all="ignore"):
+        Z = factor[free] * scale
+        H = curvature * (Z @ Z.T)
+        while True:
+            k = len(free)
+            if k < 2:
+                return p
             system = np.ones((k + 1, k + 1))
             system[:k, :k] = H - _RIDGE * abs(np.trace(H)) * np.eye(k)
             system[k, k] = 0.0
@@ -286,21 +313,35 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, Z: np.ndarra
                 d = np.linalg.solve(system, rhs)[:k]
             except np.linalg.LinAlgError:
                 return p
-        if not np.all(np.isfinite(d)):
-            return p
-        leaving = (d < 0.0) & ~held[free]
-        if not leaving.any():
-            break
-        free[np.flatnonzero(free)[leaving]] = False
+            if not np.all(np.isfinite(d)):
+                return p
+            leaving = (d < 0.0) & ~held[free]
+            if not leaving.any():
+                break
+            stay = ~leaving
+            free, H = free[stay], H[np.ix_(stay, stay)]
     base = p[free]
     shrink = d < 0.0
-    t = min(1.0, float(np.min(base[shrink] / -d[shrink]))) if shrink.any() else 1.0
+    blocking = min(1.0, float(np.min(base[shrink] / -d[shrink]))) if shrink.any() else 1.0
     start = at_p(p)
-    for _ in range(_MAX_HALVINGS + 1):
+    for t in _step_lengths(blocking):
         q = p.copy()
         q[free] = np.maximum(base + t * d, 0.0)
         q /= q.sum()
         if objective(q) >= start:
             return q
-        t *= 0.5
     return p
+
+
+def _step_lengths(blocking: float):
+    """The lengths a Newton step tries: 1, 1/2, ... while above ``blocking``, then ``blocking`` halved."""
+    t = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        if t <= blocking:
+            break
+        yield t
+        t *= 0.5
+    t = blocking
+    for _ in range(_MAX_HALVINGS + 1):
+        yield t
+        t *= 0.5

@@ -128,6 +128,16 @@ class TestValidateChannel:
             Channel(np.array([[0.5, 0.6], [1.1, -0.1]]))
 
 
+class TestOverflowingSums:
+    def test_a_sum_that_overflows_is_not_stochastic(self):
+        # finite entries whose row sum overflows are a bad sum, not a numpy warning
+        for build in (lambda: Channel(np.array([[1e308, 1e308]])),
+                      lambda: validate_channel([[0.5, 0.5], [1e308, 1e308]]),
+                      lambda: SimplexPoint.from_weights([1e308, 1e308])):
+            with pytest.raises(NotStochastic, match="inf"):
+                build()
+
+
 class TestInputIsCopied:
     def test_simplex_point_leaves_the_caller_array_alone(self):
         w = np.array([0.25, 0.75])
