@@ -19,11 +19,13 @@ def logsumexp(a: np.ndarray, axis=None):
     """
     a = np.asarray(a, dtype=float)
     # the ufunc reductions are np.max and np.sum without their wrappers,
-    # which cost more than the arithmetic on the small arrays served here
+    # which cost more than the arithmetic on the small arrays served here;
+    # exp works in place, so a large input costs one temporary, not two
     m = np.maximum.reduce(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        out = np.log(np.add.reduce(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+        terms = np.subtract(a, shift)
+        out = np.log(np.add.reduce(np.exp(terms, out=terms), axis=axis, keepdims=True)) + shift
     if axis is None:
         return float(out.reshape(()))
     return out.squeeze(axis)

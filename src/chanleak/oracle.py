@@ -75,40 +75,50 @@ class ShatterSpec:
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    count = math.comb(total + parts - 1, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(total + parts - 1), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    padded = np.concatenate(
-        [
-            np.full((count, 1), -1, dtype=np.int64),
-            bars,
-            np.full((count, 1), total + parts - 1, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    return np.diff(padded, axis=1) - 1
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
+
+    Rows come as int64 in ascending lexicographic order, from
+    (0, ..., 0, total) to (total, 0, ..., 0). Each part but the last
+    expands every row into one child per value it can take, in order.
+    """
+    columns: list[np.ndarray] = []
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = rest + 1
+        starts = np.cumsum(counts) - counts
+        head = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts)
+        columns = [np.repeat(column, counts) for column in columns]
+        columns.append(head)
+        rest = np.repeat(rest, counts) - head
+    columns.append(rest)
+    return np.stack(columns, axis=1)
+
+
+def _log_outputs(mixtures: np.ndarray) -> np.ndarray:
+    """log of (K, m) output weights, laid out as (m, K) rows."""
+    out = np.empty(mixtures.shape[::-1])
+    with np.errstate(divide="ignore"):
+        return np.log(mixtures.T, out=out)
 
 
 def _power_sum_log(log_ref: np.ndarray, logB: np.ndarray, beta: float, ba: float) -> np.ndarray:
-    """Rows of log sum_y ref(y)^(1-beta) * B(y)^(beta/alpha), conventions applied.
+    """Columns of log sum_y ref(y)^(1-beta) * B(y)^(beta/alpha), conventions applied.
 
-    ``log_ref`` has shape (m,) and ``logB`` (K, m); a -inf in logB kills
-    its term, a -inf in log_ref against a live B sends the row to +inf
-    (beta > 1), and at beta = 1 the reference drops out entirely.
+    ``log_ref`` has shape (m,) and ``logB`` (m, K), one row per output,
+    so every reduction runs along rows. A -inf in logB kills its term, a
+    -inf in log_ref against a live B sends the column to +inf (beta > 1),
+    and at beta = 1 the reference drops out entirely.
     """
     if beta == 1.0:
-        return _logsumexp(ba * logB, axis=1)
-    b_dead = np.isneginf(logB)
+        return _logsumexp(ba * logB, axis=0)
+    T = np.multiply(logB, ba)
     with np.errstate(invalid="ignore"):
-        base = (1.0 - beta) * log_ref[None, :] + ba * logB
-    T = np.where(b_dead, -np.inf, np.where(np.isneginf(log_ref)[None, :], np.inf, base))
-    return _logsumexp(T, axis=1)
+        T += ((1.0 - beta) * log_ref)[:, None]
+    np.copyto(T, np.inf, where=np.isneginf(log_ref)[:, None])
+    # the dead-mixture rule goes last, so a dead B kills its term even
+    # against a zero reference
+    np.copyto(T, -np.inf, where=np.isneginf(logB))
+    return _logsumexp(T, axis=0)
 
 
 def _finite_order(order: OrderPair) -> tuple[float, float]:
@@ -137,9 +147,9 @@ def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> Le
     if points > _GRID_POINT_CAP:
         raise BudgetExceeded(f"{points} grid points exceed the cap {_GRID_POINT_CAP}")
 
-    weights = _compositions(r, n).astype(float) / r
+    weights = _compositions(r, n) / r
+    logB = _log_outputs(weights @ channel.matrix**alpha)
     with np.errstate(divide="ignore"):
-        logB = np.log(weights @ channel.matrix**alpha)
         log_rows = np.log(channel.matrix)
     pref = alpha / ((alpha - 1.0) * beta)
     ba = beta / alpha
@@ -190,8 +200,8 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
     logt = logt - _logsumexp(logt, axis=1)[:, None]
     tilts = np.exp(logt)
 
+    logB = _log_outputs(tilts @ channel.matrix**alpha)
     with np.errstate(divide="ignore"):
-        logB = np.log(tilts @ channel.matrix**alpha)
         log_rows = np.log(channel.matrix)
         log_py = np.log(px @ channel.matrix)
     pref = alpha / ((alpha - 1.0) * beta)
@@ -203,10 +213,11 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
         best = pref * float(np.max(_power_sum_log(np.zeros(m), logB, beta, ba)))
     else:
         # each tilt against the output law of the input law that induced it
+        T = np.multiply(logB, ba)
         with np.errstate(invalid="ignore"):
-            base = (1.0 - beta) * np.repeat(log_py, len(sizes), axis=0) + ba * logB
-        T = np.where(np.isneginf(logB), -np.inf, base)
-        best = pref * float(np.max(_logsumexp(T, axis=1)))
+            T += (1.0 - beta) * np.repeat(log_py.T, len(sizes), axis=1)
+        np.copyto(T, -np.inf, where=np.isneginf(logB))
+        best = pref * float(np.max(_logsumexp(T, axis=0)))
         # boundary limits: the output law collapsed onto one channel row
         for x_prime in range(n):
             best = max(best, pref * float(np.max(_power_sum_log(log_rows[x_prime], logB, beta, ba))))

@@ -329,6 +329,62 @@ class TestVerify:
         assert first.returncode == 0
 
 
+class TestVerifyEdges:
+    def test_unreachable_grid_oracle_is_skipped_not_passed(self, tmp_path, capsys):
+        # the grid oracle takes at most 4 inputs; a 5x5 channel leaves it
+        # nothing to check, and the count covers the checked properties
+        path = tmp_path / "five.csv"
+        write_channel_csv(Channel(np.random.default_rng(4).dirichlet(np.ones(5), size=5)), path)
+        assert cli.main(["verify", "--channel", str(path), "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "grid-oracle                SKIP  every channel has more than 4 inputs" in lines
+        for line in lines[:-1]:
+            assert re.fullmatch(r"[a-z-]+\s+((PASS|FAIL)\s+worst_slack=-?\d\.\d{3}e[-+]\d+|SKIP\s+\S.*)", line)
+        assert lines[-1] == "13 of 13 properties passed"
+
+    @pytest.mark.parametrize("rows", [[[0.2, 0.3, 0.5]] * 3, [[0.2, 0.3, 0.5]]])
+    def test_zero_values_give_a_positive_zero_slack(self, rows, tmp_path, capsys):
+        # a constant channel and a 1x3 channel leak nothing at every order
+        path = tmp_path / "zero.csv"
+        write_channel_csv(Channel(np.array(rows)), path)
+        assert cli.main(["verify", "--channel", str(path), "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "non-negativity             PASS  worst_slack=0.000e+00"
+
+
+class TestSharedParser:
+    def test_in_process_calls_print_what_fresh_processes_print(self, channels, monkeypatch, capsys):
+        # argparse wraps its usage text at the terminal width; fix it for
+        # both sides (the subprocesses inherit the environment)
+        monkeypatch.setenv("COLUMNS", "80")
+        abl = ["compute", "--channel", channels["asym33"], "--measure", "abl", "--alpha", "4", "--beta", "2"]
+        calls = [
+            [*abl, "--report"],
+            abl,
+            ["sweep", "--channel", channels["bsc02"], "--alpha", "2,inf", "--tau", "0,1"],
+            ["compute", "--channel", channels["bsc02"], "--measure", "lrdp", "--alpha", "two"],
+            ["compute", "--channel", channels["bsc02"], "--measure", "ldp"],
+        ]
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli._parser.cache_info().currsize == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_import_builds_no_parser(self):
+        code = "import chanleak.cli as c; print(c._parser.cache_info().currsize)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert r.stdout == "0\n"
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_two(self):
         r = run_cli()

@@ -1,6 +1,7 @@
 """Independent oracles: simplex grid scan and the definitional construction."""
 
 import math
+from itertools import combinations
 from itertools import product as iter_product
 
 import numpy as np
@@ -16,11 +17,41 @@ from chanleak import (
     definitional_leakage,
     estimator_gain_denominator,
     grid_search_inner,
+    inner_objective,
     lrdp,
     maximal_alpha_beta_leakage,
     maximal_alpha_leakage,
 )
+from chanleak.oracle import _compositions
 from conftest import bsc, random_channel
+
+
+def stars_and_bars(total, parts):
+    """Compositions from bar positions, in the order itertools gives them."""
+    rows = []
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        rows.append([edges[k + 1] - edges[k] - 1 for k in range(parts)])
+    return np.array(rows, dtype=np.int64).reshape(-1, parts)
+
+
+class TestCompositions:
+    def test_matches_the_bar_enumeration(self):
+        cases = [(total, parts) for total in range(31) for parts in range(1, 5)]
+        for total, parts in cases + [(200, 3), (60, 4)]:
+            rows = _compositions(total, parts)
+            assert rows.dtype == np.int64
+            np.testing.assert_array_equal(rows, stars_and_bars(total, parts))
+
+
+# 3x3 channels with structural zeros; the last has an all-zero column, so a
+# reference zero meets a zero mixture at every grid point and that term
+# must drop out rather than send the value to +inf
+ZERO_CHANNELS = {
+    "scattered": [[0.5, 0.5, 0.0], [0.3, 0.0, 0.7], [0.2, 0.3, 0.5]],
+    "shared": [[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.2, 0.3, 0.5]],
+    "dead-column": [[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.35, 0.65, 0.0]],
+}
 
 
 class TestGridSearch:
@@ -69,6 +100,26 @@ class TestGridSearch:
 
     def test_infinite_value_on_identity_above_beta_one(self):
         assert math.isinf(grid_search_inner(Channel(np.eye(2)), OrderPair(2.0, 2.0), 50).nats)
+
+    @pytest.mark.parametrize("label", sorted(ZERO_CHANNELS))
+    @pytest.mark.parametrize("alpha, beta", [(4.0, 2.0), (2.0, 1.0), (2.0, 3.0)])
+    def test_equals_the_pointwise_maximum(self, label, alpha, beta):
+        ch = Channel(np.array(ZERO_CHANNELS[label]))
+        order = OrderPair(alpha, beta)
+        r = 12
+        explicit = max(
+            inner_objective(ch, x_prime, np.array([i, j, r - i - j]) / r, order)
+            for i in range(r + 1)
+            for j in range(r + 1 - i)
+            for x_prime in range(3)
+        )
+        value = grid_search_inner(ch, order, r).nats
+        if math.isinf(explicit):
+            assert value == explicit
+        else:
+            assert value == pytest.approx(explicit, abs=1e-12)
+        if label == "dead-column":
+            assert math.isfinite(value)
 
 
 class TestShatterSpec:
