@@ -24,14 +24,13 @@ At beta > 1 a pair (x', x) where x reaches an output x' misses makes the
 value +inf, with x' and the point mass at x as witness. Above
 ``_HUGE_ORDER``, where alone an order times log P can overflow, alpha is
 inf and a closed form takes its beta = inf form. The power-sum conventions
-of the inner evaluations are written once, in ``_log_terms``: 0^0 = 1 (at
-beta = 1 the reference row drops out), and a zero reference entry
-P(y|x') = 0 raised to the negative power 1 - beta < 0 yields +inf when the
-alpha-mixture at y is positive but contributes nothing when the mixture is
-zero as well.
-The chunked kernel ``_power_table`` reduces those terms for the inner
-evaluations and the alpha = inf form (the column maximum in the
-numerator). For beta >= alpha the measure is a maximum over input pairs,
+of every evaluation are written once: ``_log_power`` takes 0^0 = 1 (at
+beta = 1 the reference row drops out) and leaves to IEEE arithmetic that
+a zero reference entry raised to a negative power yields +inf;
+``_log_terms`` adds that a zero numerator kills its term, even against a
+zero reference. The chunked kernel ``_power_table`` reduces those terms
+for the inner evaluations and the alpha = inf form (the column maximum in
+the numerator). For beta >= alpha the measure is a maximum over input pairs,
 and its two pairwise forms do not build the terms of all n^2 pairs: the
 power form ranks every pair with one row-shifted matrix product and
 passes to ``_power_table`` only the pairs that the product's a-priori
@@ -56,7 +55,7 @@ import numpy as np
 
 from .core import Channel, LeakageValue, OrderPair, SimplexPoint
 from .errors import DegenerateInput, InvalidEntry, NumericalFailure, ShapeError
-from .optim import OptimizerConfig, OptimizerReport, maximize_information, maximize_power_sum
+from .optim import OptimizerConfig, OptimizerReport, _prefactor, maximize_information, maximize_power_sum
 from ._logdomain import logsumexp as _logsumexp
 
 __all__ = [
@@ -124,40 +123,35 @@ def _weights_argument(p, dim: int, what: str) -> np.ndarray:
     return w
 
 
-def _check_x_prime(x_prime: int, n: int) -> int:
-    x = int(x_prime)
-    if not 0 <= x < n:
-        raise ShapeError(f"x_prime {x_prime} out of range for {n} inputs")
-    return x
-
-
-def _prefactor(alpha: float, beta: float) -> float:
-    """alpha / ((alpha-1) beta), divided in turn: the product (alpha-1) beta
-    overflows to inf at huge finite orders, which would make it 0."""
-    return alpha / (alpha - 1.0) / beta
-
-
 # Reference rows per chunk are chosen so that one chunk of terms holds
 # about this many entries; it bounds the memory of every closed form.
 _CHUNK_ELEMENTS = 1 << 20
+
+
+def _log_power(log_base: np.ndarray, exponent: float) -> np.ndarray:
+    """exponent * log_base, the log of base^exponent, with 0^0 = 1.
+
+    At exponent == 0 the power is 1 whatever the base, so this gives zeros
+    without forming 0 * log 0. A zero base (-inf) needs no rule of its
+    own: IEEE arithmetic makes its power 0 at a positive exponent and +inf
+    at a negative one.
+    """
+    if exponent == 0.0:
+        return np.zeros_like(log_base)
+    return exponent * log_base
 
 
 def _log_terms(ref: np.ndarray, ref_exp: float, num: np.ndarray, num_exp: float) -> np.ndarray:
     """The (K, L, m) terms ref_exp log ref_i(y) + num_exp log num_j(y) of a power sum.
 
     ``ref`` (K, m) and ``num`` (L, m) hold the logs of nonnegative rows;
-    ref_exp <= 0 < num_exp. The zero conventions are written here and
-    nowhere else in this module: a zero numerator entry kills its term; a
-    zero reference entry against a positive numerator sends the term to
-    +inf when ref_exp < 0; and 0^0 = 1, so at ref_exp == 0 the reference
-    row drops out without forming 0 * log 0.
+    ref_exp <= 0 < num_exp. The reference takes the rules of
+    :func:`_log_power`: at ref_exp == 0 it drops out, and below that a zero
+    entry sends its term to +inf. The one rule added here is that a zero
+    numerator entry kills its term, even against a zero reference.
     """
-    num_part = num_exp * num  # -inf at a zero numerator, since num_exp > 0
-    if ref_exp == 0.0:
-        return np.broadcast_to(num_part, (ref.shape[0],) + num.shape)
     with np.errstate(invalid="ignore"):
-        terms = (ref_exp * ref)[:, None, :] + num_part[None, :, :]
-    np.copyto(terms, np.inf, where=(ref == -np.inf)[:, None, :])
+        terms = _log_power(ref, ref_exp)[:, None, :] + num_exp * num
     np.copyto(terms, -np.inf, where=(num == -np.inf)[None, :, :])
     return terms
 
@@ -184,9 +178,22 @@ def _log_mixture(logP: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     return _logsumexp(logw[:, None] + alpha * logP, axis=0)
 
 
-def _inner_log_sum(logP: np.ndarray, mix: np.ndarray, x_prime: int, alpha: float, beta: float) -> float:
-    """log S = log sum_y P(y|x')^(1-beta) B(y)^(beta/alpha), with log B = ``mix``."""
-    return float(_power_table(logP[x_prime:x_prime + 1], 1.0 - beta, mix[None, :], beta / alpha)[0, 0])
+def _inner_arguments(channel: Channel, x_prime: int, p_tilde, alpha: float):
+    """The checked arguments of an inner evaluation: log P, its row x' and log B of ``p_tilde``."""
+    x = int(x_prime)
+    if not 0 <= x < channel.n_inputs:
+        raise ShapeError(f"x_prime {x_prime} out of range for {channel.n_inputs} inputs")
+    w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
+    logP = _log_matrix(channel.matrix)
+    return logP, logP[x], _log_mixture(logP, w, alpha)
+
+
+def _inner_log_sum(xp: np.ndarray, mix: np.ndarray, alpha: float, beta: float) -> float:
+    """log S = log sum_y P(y|x')^(1-beta) B(y)^(beta/alpha).
+
+    ``xp`` is log P(.|x') and ``mix`` is log B.
+    """
+    return float(_power_table(xp[None, :], 1.0 - beta, mix[None, :], beta / alpha)[0, 0])
 
 
 def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -> float:
@@ -211,11 +218,9 @@ def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -
     """
     if order.alpha_infinite or order.beta_infinite:
         raise InvalidEntry("inner_objective requires finite orders; infinite orders have closed forms")
-    x = _check_x_prime(x_prime, channel.n_inputs)
-    w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
     a, b = order.alpha, order.beta
-    logP = _log_matrix(channel.matrix)
-    return _prefactor(a, b) * _inner_log_sum(logP, _log_mixture(logP, w, a), x, a, b)
+    _, xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
+    return _prefactor(a, b) * _inner_log_sum(xp, mix, a, b)
 
 
 def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -> np.ndarray:
@@ -229,50 +234,28 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
               * B(y)^(beta/alpha - 1) * P(y|x)^alpha,
         B(y) = sum_x p(x) P(y|x)^alpha,  S = the sum inside the log,
 
-    assembled in the log domain. Outputs whose alpha-mixture vanishes
-    while the channel still reaches them make the one-sided derivative
-    +inf for every input that covers them (when beta < alpha, or when
-    beta == alpha and the reference row misses them too), so such a
-    point raises.
+    one :func:`_power_table` of P(y|x)^alpha against the reference
+    P(y|x')^(1-beta) B(y)^(beta/alpha-1), passed as the log of its
+    reciprocal at exponent -1 so that its zeros take the zero-reference
+    rule. An output that the mixture starves but the channel reaches thus
+    makes the derivative +inf for every input that covers it, and the
+    point raises, when beta < alpha, or when beta == alpha and x' misses
+    it too; at beta == alpha, where B^0 = 1, x' reaching it adds its
+    linear term.
     """
     if order.alpha_infinite or order.beta_infinite:
         raise InvalidEntry("inner_gradient requires finite orders")
     if order.beta > order.alpha:
         raise InvalidEntry(f"inner_gradient requires beta <= alpha, got {order.beta} > {order.alpha}")
-    x = _check_x_prime(x_prime, channel.n_inputs)
-    w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
     alpha, beta = order.alpha, order.beta
-    logP = _log_matrix(channel.matrix)
-    mix = _log_mixture(logP, w, alpha)
-    logS = _inner_log_sum(logP, mix, x, alpha, beta)
+    logP, xp, mix = _inner_arguments(channel, x_prime, p_tilde, alpha)
+    logS = _inner_log_sum(xp, mix, alpha, beta)
     if not math.isfinite(logS):
         raise NumericalFailure("inner objective is not differentiable at this point")
-
-    ba = beta / alpha
-    xp = logP[x]
-    xp_dead = np.isneginf(xp)
-    col_alive = ~np.all(np.isneginf(logP), axis=0)
-    alive = ~np.isneginf(mix)
-    coef = np.zeros(logP.shape[1])
-    coef[alive] = (ba - 1.0) * mix[alive]
-    if beta != 1.0:
-        coef[alive] += (1.0 - beta) * xp[alive]
-    use = alive.copy()
-    if beta == alpha:
-        # a starved output still contributes linearly when beta == alpha
-        extra = (~alive) & col_alive & ~xp_dead
-        coef[extra] = (1.0 - beta) * xp[extra]
-        use |= extra
-    cols = np.flatnonzero(use)
-    terms = alpha * logP[:, cols] + coef[cols][None, :]
+    reciprocal = _log_power(xp, beta - 1.0) + _log_power(mix, 1.0 - beta / alpha)
     with np.errstate(over="ignore"):
         # near a vertex the off-support entries blow up; +inf is the honest answer
-        gradient = np.exp(_logsumexp(terms, axis=1) - logS) / (alpha - 1.0)
-    starved = (~alive) & col_alive
-    if beta == alpha:
-        starved &= xp_dead
-    if np.any(starved):
-        gradient[np.any(np.isfinite(logP[:, starved]), axis=1)] = math.inf
+        gradient = np.exp(_power_table(reciprocal[None, :], -1.0, logP, alpha)[0] - logS) / (alpha - 1.0)
     if not np.all(np.isfinite(gradient)):
         raise NumericalFailure("inner objective is not differentiable at this point")
     return gradient
@@ -524,22 +507,12 @@ def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
                         * (q(y)^tau P(y|x')^(1-tau))^(1-alpha)
     """
     a, t = _checked_alpha_tau(alpha, tau)
-    x = _check_x_prime(x_prime, channel.n_inputs)
-    w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
-    q = _weights_argument(q_y, channel.n_outputs, "q_y")
-
     # the sum over x is the alpha-mixture B(y), leaving a power sum over y
-    logP = _log_matrix(channel.matrix)
+    _, xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
+    q = _weights_argument(q_y, channel.n_outputs, "q_y")
     with np.errstate(divide="ignore"):
         logq = np.log(q)
-    xp = logP[x]
-    if t == 0.0:
-        anchor = xp
-    elif t == 1.0:
-        anchor = logq
-    else:
-        anchor = t * logq + (1.0 - t) * xp  # -inf propagates, no 0 * inf possible
-    mix = _log_mixture(logP, w, a)
+    anchor = _log_power(logq, t) + _log_power(xp, 1.0 - t)
     return float(_power_table(anchor[None, :], 1.0 - a, mix[None, :], 1.0)[0, 0]) / (a - 1.0)
 
 
@@ -554,17 +527,13 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
     a, t = _checked_alpha_tau(alpha, tau)
     if t == 0.0:
         raise InvalidEntry("tau must be positive here: at tau = 0 the objective does not depend on q")
-    x = _check_x_prime(x_prime, channel.n_inputs)
-    w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
-
-    logP = _log_matrix(channel.matrix)
-    xp = logP[x]
+    logP, xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
     ref_exp = (1.0 - t) * (1.0 - a)  # <= 0, zero exactly at tau = 1
     if ref_exp != 0.0 and np.any(np.isneginf(xp) & ~np.all(np.isneginf(logP), axis=0)):
         raise DegenerateInput(
             "reference row has a structural zero at a reachable output; the minimizing output law degenerates"
         )
-    logC = _log_terms(xp[None, :], ref_exp, _log_mixture(logP, w, a)[None, :], 1.0)[0, 0]
+    logC = _log_terms(xp[None, :], ref_exp, mix[None, :], 1.0)[0, 0]
     if np.all(np.isneginf(logC)):
         raise DegenerateInput("every output weight C(y) vanished")
     scale = 1.0 / (1.0 + t * (a - 1.0))  # 1 / (1 - gamma)
@@ -574,12 +543,16 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
 
 
 def shannon_capacity(channel: Channel, tolerance: float = 1e-9) -> LeakageValue:
-    """Channel capacity in nats, to a bracket gap of ``tolerance`` within the step cap.
+    """Channel capacity in nats, certified to a bracket gap of ``tolerance``.
 
     The value is the lower end of the bracket that
-    :func:`chanleak.optim.maximize_information` certifies; that function's
-    report also says whether the bracket closed within the cap.
+    :func:`chanleak.optim.maximize_information` certifies. Where the bracket
+    does not close within its step cap this raises NumericalFailure, naming
+    the gap left; that function's report holds the open bracket.
     """
     if not 0.0 < tolerance < math.inf:
         raise InvalidEntry(f"tolerance must be positive and finite, got {tolerance!r}")
-    return LeakageValue(maximize_information(channel.matrix, OptimizerConfig(tolerance=tolerance)).value)
+    report = maximize_information(channel.matrix, OptimizerConfig(tolerance=tolerance))
+    if not report.converged:
+        raise NumericalFailure(f"capacity bracket gap {report.certified_gap:.3e} exceeds the tolerance {tolerance:.3e}")
+    return LeakageValue(report.value)

@@ -110,6 +110,12 @@ class OptimizerReport:
     converged: bool
 
 
+def _prefactor(alpha: float, beta: float) -> float:
+    """alpha / ((alpha-1) beta), divided in turn: the product (alpha-1) beta
+    overflows to inf at huge finite orders, which would make it 0."""
+    return alpha / (alpha - 1.0) / beta
+
+
 def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
                        config: OptimizerConfig) -> tuple[int, OptimizerReport]:
     """Maximize the family's inner expression over x' and p, for finite beta < alpha.
@@ -134,7 +140,7 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
     n, m = logP.shape
     c = beta / alpha
-    pref = alpha / (alpha - 1.0) / beta  # (alpha-1) beta overflows at huge orders
+    pref = _prefactor(alpha, beta)
     colmax = logP.max(axis=0)
     A = np.exp(alpha * (logP - colmax))
     # r(y) times the column scale raised to c, one row per reference input

@@ -104,20 +104,18 @@ def _log_outputs(mixtures: np.ndarray) -> np.ndarray:
 def _power_sum_log(log_ref: np.ndarray, logB: np.ndarray, beta: float, ba: float) -> np.ndarray:
     """Columns of log sum_y ref(y)^(1-beta) * B(y)^(beta/alpha), conventions applied.
 
-    ``log_ref`` has shape (m,) and ``logB`` (m, K), one row per output,
-    so every reduction runs along rows. A -inf in logB kills its term, a
-    -inf in log_ref against a live B sends the column to +inf (beta > 1),
-    and at beta = 1 the reference drops out entirely.
+    ``logB`` has shape (m, K), one row per output, so every reduction runs
+    along rows; ``log_ref`` is (m, 1), one reference for every column, or
+    (m, K), one per column. At beta = 1 the reference drops out entirely.
+    Above it a -inf in log_ref against a live B sends the column to +inf,
+    as (1 - beta) * -inf = +inf, and a -inf in logB kills its term, even
+    against a zero reference.
     """
-    if beta == 1.0:
-        return _logsumexp(ba * logB, axis=0)
     T = np.multiply(logB, ba)
-    with np.errstate(invalid="ignore"):
-        T += ((1.0 - beta) * log_ref)[:, None]
-    np.copyto(T, np.inf, where=np.isneginf(log_ref)[:, None])
-    # the dead-mixture rule goes last, so a dead B kills its term even
-    # against a zero reference
-    np.copyto(T, -np.inf, where=np.isneginf(logB))
+    if beta != 1.0:
+        with np.errstate(invalid="ignore"):
+            T += (1.0 - beta) * log_ref
+        np.copyto(T, -np.inf, where=np.isneginf(logB))
     return _logsumexp(T, axis=0)
 
 
@@ -150,7 +148,7 @@ def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> Le
     weights = _compositions(r, n) / r
     logB = _log_outputs(weights @ channel.matrix**alpha)
     with np.errstate(divide="ignore"):
-        log_rows = np.log(channel.matrix)
+        log_rows = np.log(channel.matrix)[:, :, None]  # each row as an (m, 1) reference
     pref = alpha / ((alpha - 1.0) * beta)
     ba = beta / alpha
     best = -math.inf
@@ -202,25 +200,17 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
 
     logB = _log_outputs(tilts @ channel.matrix**alpha)
     with np.errstate(divide="ignore"):
-        log_rows = np.log(channel.matrix)
+        log_rows = np.log(channel.matrix)[:, :, None]  # each row as an (m, 1) reference
         log_py = np.log(px @ channel.matrix)
     pref = alpha / ((alpha - 1.0) * beta)
     ba = beta / alpha
 
+    # each tilt against the output law of the input law that induced it,
+    # then the boundary limits: the output law collapsed onto one channel row
+    references = [np.repeat(log_py.T, len(sizes), axis=1), *log_rows]
     best = -math.inf
-    if beta == 1.0:
-        # the reference law drops out entirely at beta = 1
-        best = pref * float(np.max(_power_sum_log(np.zeros(m), logB, beta, ba)))
-    else:
-        # each tilt against the output law of the input law that induced it
-        T = np.multiply(logB, ba)
-        with np.errstate(invalid="ignore"):
-            T += (1.0 - beta) * np.repeat(log_py.T, len(sizes), axis=1)
-        np.copyto(T, -np.inf, where=np.isneginf(logB))
-        best = pref * float(np.max(_logsumexp(T, axis=0)))
-        # boundary limits: the output law collapsed onto one channel row
-        for x_prime in range(n):
-            best = max(best, pref * float(np.max(_power_sum_log(log_rows[x_prime], logB, beta, ba))))
+    for log_ref in references:
+        best = max(best, pref * float(np.max(_power_sum_log(log_ref, logB, beta, ba))))
     return LeakageValue(best)
 
 

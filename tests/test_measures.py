@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chanleak import (
     InvalidEntry,
     LeakageValue,
     MeasureResult,
+    NumericalFailure,
     OptimizerConfig,
     OrderPair,
     ShapeError,
@@ -270,6 +272,46 @@ class TestGradient:
         with pytest.raises(InvalidEntry):
             inner_gradient(bsc(0.2), 0, SimplexPoint.uniform(2), OrderPair(2.0, 3.0))
 
+    # input 1 misses output 2, input 2 misses output 0, and input 0 reaches all three
+    ZEROS = np.array([[0.5, 0.2, 0.3], [0.6, 0.4, 0.0], [0.0, 0.3, 0.7]])
+
+    @staticmethod
+    def direct(P, x_prime, w, alpha, beta):
+        """g_x as a linear-domain sum over the outputs x reaches, with 0^0 = 1 written out by Python."""
+        B = [sum(w[i] * P[i, y] ** alpha for i in range(len(w))) for y in range(P.shape[1])]
+        S = sum(P[x_prime, y] ** (1.0 - beta) * B[y] ** (beta / alpha) for y in range(len(B)) if B[y] > 0.0)
+        return np.array([
+            sum(P[x_prime, y] ** (1.0 - beta) * B[y] ** (beta / alpha - 1.0) * P[x, y] ** alpha
+                for y in range(len(B)) if P[x, y] > 0.0) / S / (alpha - 1.0)
+            for x in range(len(P))
+        ])
+
+    @pytest.mark.parametrize("x_prime", [1, 2])
+    @pytest.mark.parametrize("w", [[0.3, 0.7, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+    def test_beta_one_drops_zero_reference_entries(self, x_prime, w):
+        # at beta = 1 the reference row's zeros take 0^0 = 1 and drop out
+        for alpha in (1.5, 2.0, 4.0):
+            grad = inner_gradient(Channel(self.ZEROS), x_prime, w, OrderPair(alpha, 1.0))
+            np.testing.assert_allclose(grad, self.direct(self.ZEROS, x_prime, w, alpha, 1.0), rtol=1e-13)
+
+    def test_beta_alpha_keeps_the_linear_term_of_a_starved_output(self):
+        # the weights sit on input 1, which misses output 2; x' = 0 reaches it,
+        # and at beta = alpha its B^0 = 1 leaves P(2|0)^(1-alpha) P(2|x)^alpha
+        w = [0.0, 1.0, 0.0]
+        for alpha in (1.5, 2.0, 4.0):
+            grad = inner_gradient(Channel(self.ZEROS), 0, w, OrderPair(alpha, alpha))
+            expected = self.direct(self.ZEROS, 0, w, alpha, alpha)
+            np.testing.assert_allclose(grad, expected, rtol=1e-13)
+            assert np.all(np.isfinite(grad))
+            assert grad[2] > self.direct(self.ZEROS[:, :2], 0, w, alpha, alpha)[2]  # the term is there
+
+    @pytest.mark.parametrize("x_prime, beta", [(0, 1.0), (0, 1.5), (1, 2.0)])
+    def test_starved_output_raises(self, x_prime, beta):
+        # beta < alpha: B^(beta/alpha - 1) is +inf at the starved output; at
+        # beta = alpha it is the zero reference row that makes it +inf
+        with pytest.raises(NumericalFailure):
+            inner_gradient(Channel(self.ZEROS), x_prime, [0.0, 1.0, 0.0], OrderPair(2.0, beta))
+
 
 class TestTauParameterization:
     def test_endpoints_snap_to_bridge_measures(self):
@@ -330,6 +372,32 @@ class TestTauParameterization:
         for _ in range(10):
             q = SimplexPoint.from_weights(rng.dirichlet(np.ones(3)))
             assert variational_objective(ch, 0, point, q, alpha, tau) >= direct - 1e-12
+
+    @staticmethod
+    def direct_saddle(P, x_prime, w, q, alpha, tau):
+        """The saddle form as a linear-domain double sum, with 0^0 = 1 written out by Python."""
+        total = 0.0
+        for x, y in iter_product(range(P.shape[0]), range(P.shape[1])):
+            if w[x] * P[x, y] > 0.0:
+                anchor = q[y] ** tau * P[x_prime, y] ** (1.0 - tau)
+                if anchor == 0.0:
+                    return math.inf
+                total += w[x] * P[x, y] ** alpha * anchor ** (1.0 - alpha)
+        return math.log(total) / (alpha - 1.0)
+
+    @pytest.mark.parametrize("q", [[0.3, 0.7, 0.0], [0.0, 0.6, 0.4], [0.2, 0.3, 0.5]])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_endpoints_with_zeros_match_the_direct_sum(self, q, tau):
+        # x' = 0 misses output 2, and so do the first two weightings; at tau = 0
+        # q drops out even where it is 0, and at tau = 1 the reference row
+        # does. The third weighting reaches output 2, which a zero anchor
+        # there turns into +inf
+        P = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.1, 0.3, 0.6]])
+        for w in ([0.4, 0.6, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]):
+            for alpha in (1.5, 2.0, 4.0):
+                value = variational_objective(Channel(P), 0, w, q, alpha, tau)
+                expected = self.direct_saddle(P, 0, w, q, alpha, tau)
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_optimal_q_requires_positive_tau(self):
         with pytest.raises(InvalidEntry):
@@ -406,6 +474,12 @@ class TestCapacity:
         report = maximize_information(bsc(0.3).matrix, OptimizerConfig(tolerance=1e-18))
         assert report.converged is False
         assert report.certified_gap > 0.0
+
+    def test_open_bracket_raises(self):
+        # shannon_capacity returns certified values only, and names the gap left
+        report = maximize_information(bsc(0.3).matrix, OptimizerConfig(tolerance=1e-18))
+        with pytest.raises(NumericalFailure, match=f"gap {report.certified_gap:.3e} exceeds"):
+            shannon_capacity(bsc(0.3), tolerance=1e-18)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_structural_zeros_match_closed_forms(self, p):

@@ -1,12 +1,15 @@
 """Independent oracles: simplex grid scan and the definitional construction."""
 
+import ast
 import math
 from itertools import combinations
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chanleak.oracle
 from chanleak import (
     BudgetExceeded,
     Channel,
@@ -245,3 +248,18 @@ class TestOracleAgreement:
         for bound in (g, d):
             assert bound <= exact + 1e-9
             assert bound >= exact - 0.02
+
+
+def test_the_oracle_imports_neither_measures_nor_optim():
+    # agreement between the oracles and the fast paths is evidence only
+    # while the oracles share none of the fast paths' code
+    tree = ast.parse(Path(chanleak.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert "core" in imported  # the walk sees the module's imports
+    assert not imported & {"measures", "optim"}
