@@ -58,10 +58,11 @@ def _stochastic(raw, ndim: int, tolerance: float, what: str) -> np.ndarray:
     def where(marked: np.ndarray) -> str:
         return what if ndim == 1 else f"row {int(np.argmax(marked))} of the {what}"
 
-    for bad, problem in ((~np.isfinite(rows), "contains a non-finite entry"),
-                         (rows < 0.0, "contains a negative entry")):
-        if bad.any():
-            raise InvalidEntry(f"{where(bad.any(axis=1))} {problem}")
+    if not (rows.min() >= 0.0 and rows.max() < math.inf):  # NaN fails both
+        for bad, problem in ((~np.isfinite(rows), "contains a non-finite entry"),
+                             (rows < 0.0, "contains a negative entry")):
+            if bad.any():
+                raise InvalidEntry(f"{where(bad.any(axis=1))} {problem}")
     with np.errstate(over="ignore"):  # a sum that overflows is inf, and off
         sums = rows.sum(axis=1, keepdims=True)
     off = ~(np.abs(sums[:, 0] - 1.0) < tolerance)

@@ -137,12 +137,14 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     reported value, never below the rounding of the bracket ends.
     Non-convergence is reported, never raised.
     """
-    logP = logP[:, ~np.all(np.isneginf(logP), axis=0)]  # outputs no input reaches
+    colmax = logP.max(axis=0)
+    reached = colmax > -math.inf  # the outputs some input reaches
+    logP, colmax = logP[:, reached], colmax[reached]
     n, m = logP.shape
     c = beta / alpha
     pref = _prefactor(alpha, beta)
-    colmax = logP.max(axis=0)
     A = np.exp(alpha * (logP - colmax))
+    AT = np.ascontiguousarray(A.T)
     # r(y) times the column scale raised to c, one row per reference input
     logR = beta * colmax[None, :] if beta == 1.0 else (1.0 - beta) * logP + beta * colmax
     shift = logR.max(axis=1)
@@ -152,21 +154,24 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
         B = p @ A
         W = R * B ** (c - 1.0)
         G = (W * B).sum(axis=1)
-        ratio = (W @ A.T) / G[:, None]
+        ratio = W @ AT
+        ratio /= G[:, None]
         lower = pref * (np.log(G) + shift)
         upper = lower + pref * np.log1p(c * (ratio.max(axis=1) - 1.0))
-        return lower, upper, np.log(ratio) / (1.0 - c)
+        step = np.log(ratio, out=ratio)
+        step /= 1.0 - c
+        return lower, upper, step
 
     def newton_terms(p, R, shift):
         B = p @ A
-        grad = c * ((R * B ** (c - 1.0)) @ A.T)
+        grad = c * ((R * B ** (c - 1.0)) @ AT)
         # H = c (c-1) A diag(R B^(c-2)) A^T, factored with square roots so
         # that no factor overflows where a mixture sits near the weight floor
         S = np.sqrt(R) * B ** (0.5 * c - 1.0)
         for k in range(len(p)):
             def objective(q, r=R[k]):
                 return float(r @ (q @ A) ** c)
-            yield grad[k], c * (c - 1.0), A, S[k], objective, objective
+            yield grad[k], c * (c - 1.0), A, S[k], objective, float(R[k] @ B[k] ** c)
 
     return _ascend(np.full((len(R), n), 1.0 / n), n + m, pref, bracket, newton_terms, config, (R, shift))
 
@@ -201,9 +206,8 @@ def maximize_information(matrix: np.ndarray, config: OptimizerConfig) -> Optimiz
 
     def newton_terms(p):
         d = divergences(p[0])
-        # the last term is the objective at p[0] alone, from the divergences formed there
         yield (d, -1.0, reached, 1.0 / np.sqrt(p[0] @ reached),
-               lambda q: information(q, divergences(q)), lambda q: information(q, d))
+               lambda q: information(q, divergences(q)), information(p[0], d))
 
     return _ascend(np.full((1, n), 1.0 / n), n + m, 1.0, bracket, newton_terms, config)[1]
 
@@ -217,24 +221,27 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
     then the leading rows, those whose lower end equals the best one or
     whose upper end equals the largest one, take a Newton step.
     ``newton_terms(p, *rows)``, given the leading rows only, yields row by
-    row the arguments of :func:`_newton_step` after the point, all worked
-    out from p before its first row moves. Exact equality keeps rows that
-    tie exactly stepping alike. A row whose upper end falls below the best
-    lower end by more than rounding (``scale`` times that of ``terms``
-    terms) leaves with its ``rows`` state; the best never does. The gap is
-    the largest upper end, departed rows' included, minus the value.
-    Returns the best row's original index (the last among ties) and its
-    report.
+    row the arguments of :func:`_newton_step` after the point, its value
+    at the point last, all worked out from p before its first row moves.
+    Exact equality keeps rows that tie exactly stepping alike. A row whose
+    upper end falls below the best lower end by more than rounding
+    (``scale`` times that of ``terms`` terms) leaves with its ``rows``
+    state; the best never does. The gap is the largest upper end, departed
+    rows' included, minus the value. One ``np.errstate`` covers the whole
+    loop, Newton steps included. Returns the best row's original index
+    (the last among ties) and its report.
     """
     live = np.arange(len(p))  # the original index of each row still in the race
     pruned_upper = -math.inf
     logp = np.zeros_like(p)  # log weights up to a per-row constant
     iterations = 0
-    # log(0) for an input whose weight underflowed to 0 meets the weight floor
-    with np.errstate(divide="ignore"):
+    # one scope for the whole loop: log(0) for an input whose weight
+    # underflowed to 0 meets the weight floor, and a Newton system that is
+    # not finite shows in its direction
+    with np.errstate(all="ignore"):
         while True:
             lower, upper, step = bracket(p, *rows)
-            best = len(lower) - 1 - int(np.argmax(lower[::-1]))
+            best = len(lower) - 1 - int(lower[::-1].argmax())
             value = float(lower[best])
             floor = _ROUNDING_ULPS * terms * _EPS * max(scale, abs(value))
             top = float(upper.max())
@@ -253,9 +260,10 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
                     pruned_upper = max(pruned_upper, float(upper[~keep].max()))
                     live, logp, step, lower, upper = live[keep], logp[keep], step[keep], lower[keep], upper[keep]
                     rows = tuple(state[keep] for state in rows)
-                lead = np.flatnonzero((lower == value) | (upper == top)).tolist()
+                lead = ((lower == value) | (upper == top)).nonzero()[0].tolist()
             logp += step
-            logp = np.maximum(logp - logp.max(axis=1, keepdims=True), _LOG_WEIGHT_FLOOR)
+            logp -= logp.max(axis=1, keepdims=True)
+            np.maximum(logp, _LOG_WEIGHT_FLOOR, out=logp)
             p = np.exp(logp)
             p /= p.sum(axis=1, keepdims=True)
             if len(lead) == len(p):
@@ -264,8 +272,11 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
                 leading = newton_terms(p[lead], *(state[lead] for state in rows))
             for k, args in zip(lead, leading):
                 p[k] = _newton_step(p[k], *args)
-            p = np.maximum(p, math.exp(_LOG_WEIGHT_FLOOR) * p.max(axis=1, keepdims=True))
-            logp = np.log(p / p.max(axis=1, keepdims=True))
+            # the floor lies below each row's largest weight, which it leaves as it was
+            heaviest = p.max(axis=1, keepdims=True)
+            np.maximum(p, math.exp(_LOG_WEIGHT_FLOOR) * heaviest, out=p)
+            logp = p / heaviest
+            np.log(logp, out=logp)
             iterations += 1
     report = OptimizerReport(
         value=value,
@@ -278,7 +289,7 @@ def _ascend(p: np.ndarray, terms: int, scale: float, bracket, newton_terms,
 
 
 def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, factor: np.ndarray,
-                 scale: np.ndarray, objective, at_p) -> np.ndarray:
+                 scale: np.ndarray, objective, start: float) -> np.ndarray:
     """One safeguarded projected Newton step of a concave objective on the simplex.
 
     The free inputs are those that carry weight (above ``_FREE_WEIGHT`` of
@@ -286,57 +297,72 @@ def _newton_step(p: np.ndarray, grad: np.ndarray, curvature: float, factor: np.n
     so they would gain weight; the others stay fixed. The Hessian on them
     is H = ``curvature`` Z_F Z_F^T, curvature < 0, with Z_F the free rows
     of ``factor`` times the column ``scale``, formed once. The direction
-    solves the bordered system [[H - delta I, 1], [1^T, 0]] [d; lambda] =
-    [-grad; 0], delta a ridge of ``_RIDGE`` |tr H|; an entering input that
-    the direction would push below zero is fixed again and the system
-    solved without it. Lengths t = 1, 1/2, ... above the first t that
-    drives an input to zero try the projection arc max(p + t d, 0), so
-    every input the step blocks leaves at once (Bertsekas's projected
-    Newton method); then t runs from that first blocking length, halved
-    each time. A point is taken only where ``objective`` does not drop
-    below its value at p. That value is ``at_p(p)``, asked for only once
-    a step is to be tried; ``at_p`` may reuse what was computed at p, and
-    serves at p alone. Returns the new point, renormalized, or p itself
-    when no step qualifies.
+    solves the KKT system of H on the simplex by Schur complement
+    (:func:`_kkt_direction`); an entering input that it would push below
+    zero is fixed again and the direction solved without it. Lengths
+    t = 1, 1/2, ... above the first t that drives an input to zero try the
+    projection arc max(p + t d, 0), so every input the step blocks leaves
+    at once (Bertsekas's projected Newton method); then t runs from that
+    first blocking length, halved each time. A point is taken only where
+    ``objective`` does not drop below ``start``, its value at p. Returns
+    the new point, renormalized, or p itself when no step qualifies. The
+    caller holds the errstate: a system that is not finite gives no
+    direction, so its warnings are noise.
     """
     held = p > _FREE_WEIGHT * p.max()
-    free = np.flatnonzero(held | (grad > p @ grad))
-    with np.errstate(all="ignore"):
-        Z = factor[free] * scale
-        H = curvature * (Z @ Z.T)
-        while True:
-            k = len(free)
-            if k < 2:
-                return p
-            system = np.ones((k + 1, k + 1))
-            system[:k, :k] = H - _RIDGE * abs(np.trace(H)) * np.eye(k)
-            system[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[:k] = -grad[free]
-            if not (np.all(np.isfinite(system)) and np.all(np.isfinite(rhs))):
-                return p
-            try:
-                d = np.linalg.solve(system, rhs)[:k]
-            except np.linalg.LinAlgError:
-                return p
-            if not np.all(np.isfinite(d)):
-                return p
-            leaving = (d < 0.0) & ~held[free]
-            if not leaving.any():
-                break
-            stay = ~leaving
-            free, H = free[stay], H[np.ix_(stay, stay)]
+    free = (held | (grad > p @ grad)).nonzero()[0]
+    Z = factor[free] * scale
+    H = curvature * (Z @ Z.T)
+    while True:
+        if len(free) < 2:
+            return p
+        d = _kkt_direction(H, grad[free])
+        if d is None:
+            return p
+        shrink = d < 0.0
+        leaving = shrink & ~held[free]
+        if not leaving.any():
+            break
+        stay = ~leaving
+        free, H = free[stay], H[np.ix_(stay, stay)]
     base = p[free]
-    shrink = d < 0.0
-    blocking = min(1.0, float(np.min(base[shrink] / -d[shrink]))) if shrink.any() else 1.0
-    start = at_p(p)
+    blocking = min(1.0, float((base[shrink] / -d[shrink]).min())) if shrink.any() else 1.0
+    q = np.empty_like(p)
     for t in _step_lengths(blocking):
-        q = p.copy()
+        q[:] = p
         q[free] = np.maximum(base + t * d, 0.0)
         q /= q.sum()
         if objective(q) >= start:
             return q
     return p
+
+
+def _kkt_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """The d of [[H - delta I, 1], [1^T, 0]] [d; lambda] = [-g; 0], delta a ridge of ``_RIDGE`` |tr H|.
+
+    Solved by Schur complement: one solve of M = H - delta I against -g
+    and 1 gives u and v, and d = u - v (sum u / sum v) is the solution
+    whose entries sum to zero. H is negative semidefinite, so M is
+    negative definite and sum v < 0 wherever delta > 0. Returns None where
+    H or g is not finite or M is singular. An entry of H = c Z Z^T that is
+    not finite shows on its diagonal, so delta catches it before the
+    solve: LAPACK can return a finite d from a matrix with an infinite
+    entry.
+    """
+    k = len(g)
+    delta = _RIDGE * abs(H.trace())
+    if not math.isfinite(delta):
+        return None
+    M = H.copy()
+    M.ravel()[:: k + 1] -= delta
+    rhs = np.ones((k, 2))
+    rhs[:, 0] = -g
+    try:
+        u, v = np.linalg.solve(M, rhs).T
+    except np.linalg.LinAlgError:
+        return None
+    d = u - v * (u.sum() / v.sum())
+    return d if np.isfinite(d).all() else None
 
 
 def _step_lengths(blocking: float):

@@ -128,6 +128,38 @@ class TestValidateChannel:
             Channel(np.array([[0.5, 0.6], [1.1, -0.1]]))
 
 
+class TestEntryGate:
+    # the gate checks a whole array with one minimum and one maximum, and
+    # builds the masks that name the first bad row only when one of them fails
+    @pytest.mark.parametrize("bad, problem", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                                              (-math.inf, "non-finite"), (-0.25, "negative")])
+    def test_vector_faults_are_named(self, bad, problem):
+        for build in (SimplexPoint, SimplexPoint.from_weights):
+            with pytest.raises(InvalidEntry, match=f"^weights contains a {problem} entry$"):
+                build(np.array([0.5, bad, 0.75]))
+
+    @pytest.mark.parametrize("bad, problem", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                                              (-math.inf, "non-finite"), (-0.25, "negative")])
+    def test_matrix_faults_name_their_row(self, bad, problem):
+        matrix = np.array([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8], [0.9, 0.1]])
+        matrix[2, 1] = bad
+        for build in (Channel, validate_channel):
+            with pytest.raises(InvalidEntry, match=f"^row 2 of the channel matrix contains a {problem} entry$"):
+                build(matrix)
+
+    def test_a_non_finite_entry_is_reported_before_an_earlier_negative_one(self):
+        matrix = np.array([[0.5, 0.5], [1.25, -0.25], [0.2, 0.8], [math.nan, 0.1]])
+        for build in (Channel, validate_channel):
+            with pytest.raises(InvalidEntry, match="^row 3 of the channel matrix contains a non-finite entry$"):
+                build(matrix)
+        with pytest.raises(InvalidEntry, match="^weights contains a non-finite entry$"):
+            SimplexPoint(np.array([1.25, -0.25, math.nan]))
+
+    def test_entries_at_zero_pass(self):
+        np.testing.assert_array_equal(validate_channel([[0.0, 1.0], [-0.0, 1.0]]).matrix, [[0.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(SimplexPoint(np.array([0.0, 1.0])).weights, [0.0, 1.0])
+
+
 class TestOverflowingSums:
     def test_a_sum_that_overflows_is_not_stochastic(self):
         # finite entries whose row sum overflows are a bad sum, not a numpy warning

@@ -10,11 +10,12 @@ from chanleak import (
     OrderPair,
     ShapeError,
     SimplexPoint,
+    alpha_tau_order,
     inner_objective,
     maximal_alpha_beta_leakage,
     oracle,
 )
-from chanleak.optim import _newton_step, maximize_information
+from chanleak.optim import _RIDGE, _kkt_direction, _newton_step, maximize_information
 from conftest import bsc, random_channel
 
 
@@ -190,11 +191,97 @@ class TestNewtonSteps:
 
         p = np.full(5, 0.2)
         start, d = information(p)
-        q = _newton_step(p, d, -1.0, P, 1.0 / np.sqrt(p @ P), lambda q: information(q)[0], lambda q: start)
+        q = _newton_step(p, d, -1.0, P, 1.0 / np.sqrt(p @ P), lambda q: information(q)[0], start)
         np.testing.assert_array_equal(q[3:], [0.0, 0.0])
         assert np.all(q[:3] > 0.0)
         assert q.sum() == pytest.approx(1.0, abs=1e-15)
         assert information(q)[0] >= start
+
+
+def _bordered_direction(H, g):
+    """d from the bordered system [[H - delta I, 1], [1^T, 0]] [d; lambda] = [-g; 0] in one solve."""
+    k = len(g)
+    system = np.ones((k + 1, k + 1))
+    system[:k, :k] = H - _RIDGE * abs(np.trace(H)) * np.eye(k)
+    system[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[:k] = -g
+    return np.linalg.solve(system, rhs)[:k]
+
+
+class TestNewtonDirection:
+    # the Schur-complement form must give the direction of the bordered system
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_schur_form_matches_the_bordered_system(self, k):
+        # a Gaussian factor with at least k columns keeps H well conditioned,
+        # so both solves resolve every entry of d
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            Z = rng.standard_normal((k, int(rng.integers(k, 16))))
+            H, g = -(Z @ Z.T), rng.standard_normal(k)
+            expected, d = _bordered_direction(H, g), _kkt_direction(H, g)
+            assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert abs(d.sum()) <= 1e-12 * np.abs(d).sum()
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_duplicated_rows_are_held_by_the_ridge_alone(self, k):
+        # inputs with the same channel row share their row of H and their
+        # gradient, so H is singular and only the ridge fixes how d splits
+        # between them; that split is rounding divided by the ridge (a few
+        # percent of |d| in either form), and what is left, the group's
+        # mean, is fixed by the rest of the system (at least one input stays
+        # outside the group, or that mean is 0 too)
+        rng = np.random.default_rng(100 + k)
+        for _ in range(20):
+            Z = rng.standard_normal((k, int(rng.integers(k, 16))))
+            g = rng.standard_normal(k)
+            group = rng.choice(k, size=min(k - 1, 2 + int(rng.integers(2))), replace=False)
+            Z[group], g[group] = Z[group[0]], g[group[0]]
+            H = -(Z @ Z.T)
+            assert np.linalg.matrix_rank(H) <= k - len(group) + 1
+
+            def group_mean(d):
+                d = d.copy()
+                d[group] = d[group].mean()
+                return d
+
+            expected, d = group_mean(_bordered_direction(H, g)), group_mean(_kkt_direction(H, g))
+            assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_no_direction_from_a_system_that_is_not_finite(self):
+        Z = np.random.default_rng(5).standard_normal((4, 5))
+        H, g = -(Z @ Z.T), np.ones(4)
+        assert _kkt_direction(np.zeros((4, 4)), g) is None  # no curvature and no ridge: singular
+        for bad in (np.inf, -np.inf, np.nan):
+            broken = H.copy()
+            broken[1, 1] = bad
+            assert _kkt_direction(broken, g) is None
+            broken = g.copy()
+            broken[2] = bad
+            assert _kkt_direction(H, broken) is None
+
+
+class TestIterationBudget:
+    # totals over seeded Dirichlet channels 3x3 to 12x12, each at the orders
+    # of the concave-mid benchmark workload and at capacity; the bordered
+    # Newton solve with a second evaluation at p took 1757 and 220 steps
+    ORDERS = (OrderPair(2.0, 1.0), OrderPair(1.5, 1.0), alpha_tau_order(3.0, 1.0), OrderPair(4.0, 2.0),
+              alpha_tau_order(3.0, 0.25), OrderPair(3.0, 1.5), alpha_tau_order(2.0, 0.75), OrderPair(2.0, 1.5))
+
+    def test_step_totals_stay_within_two_percent(self):
+        solver = capacity = 0
+        for seed in range(4):
+            for n in range(3, 13):
+                channel = Channel(np.random.default_rng([seed, n]).dirichlet(np.ones(n), size=n))
+                for order in self.ORDERS:
+                    report = maximal_alpha_beta_leakage(channel, order).report
+                    assert report.converged
+                    solver += report.iterations
+                report = maximize_information(channel.matrix, OptimizerConfig())
+                assert report.converged
+                capacity += report.iterations
+        assert solver <= 1.02 * 1757
+        assert capacity <= 1.02 * 220
 
 
 class TestTies:
