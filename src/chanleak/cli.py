@@ -9,8 +9,10 @@ accepted and emitted as a literal for the infinite orders.
 ``sweep`` builds the order pair of every grid cell (through
 :func:`chanleak.alpha_tau_order` for a tau grid) before it solves any, so
 an illegal entry anywhere in the grid exits 2 with nothing written.
-``verify`` reads every family value through one per-run cache, so each
-distinct (channel, order) is solved once however many properties use it.
+``verify`` takes each property's check from :mod:`chanleak.properties`,
+the module the tests call too, and reads every family value through one
+per-run cache, so each distinct (channel, order) is solved once however
+many properties use it.
 
 ``verify`` prints one PASS or FAIL line per property it checked, and a
 SKIP line with the reason for one it could not check (the grid oracle
@@ -36,13 +38,12 @@ import sys
 
 import numpy as np
 
-from . import oracle
+from . import properties
 from .core import (
     Channel,
     OrderPair,
     SimplexPoint,
     compose,
-    product,
     read_channel_csv,
     validate_channel,
 )
@@ -51,15 +52,12 @@ from .measures import (
     MeasureResult,
     alpha_tau_leakage,
     alpha_tau_order,
-    inner_objective,
     ldp,
     lrdp,
     lrdp_variant,
     maximal_alpha_beta_leakage,
     maximal_alpha_leakage,
     maximal_leakage,
-    optimal_q_y,
-    variational_objective,
 )
 from .optim import OptimizerConfig, OptimizerReport, maximize_information
 
@@ -70,28 +68,11 @@ _LN2 = math.log(2.0)
 MEASURES = ("abl", "maxl", "max-alpha-l", "ldp", "lrdp", "lrdp-variant", "alpha-tau", "capacity")
 
 
-def _extended(text: str) -> float:
-    if text.strip() == "inf":
-        return math.inf
+def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return float(text)
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}") from None
-
-
-def _finite(text: str) -> float:
-    value = _extended(text)
-    if math.isinf(value):
-        raise argparse.ArgumentTypeError("this parameter must be finite")
-    return value
-
-
-def _extended_list(text: str) -> tuple[float, ...]:
-    return tuple(_extended(part) for part in text.split(","))
-
-
-def _finite_list(text: str) -> tuple[float, ...]:
-    return tuple(_finite(part) for part in text.split(","))
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,21 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="evaluate one measure on one channel")
     comp.add_argument("--channel", required=True, help="channel CSV path")
     comp.add_argument("--measure", required=True, choices=MEASURES)
-    comp.add_argument("--alpha", type=_extended, default=None, help="order alpha (number or 'inf')")
-    comp.add_argument("--beta", type=_extended, default=None, help="order beta (number or 'inf')")
-    comp.add_argument("--tau", type=_finite, default=None, help="trade-off parameter in [0, 1]")
+    comp.add_argument("--alpha", type=float, default=None, help="order alpha (number or 'inf')")
+    comp.add_argument("--beta", type=float, default=None, help="order beta (number or 'inf')")
+    comp.add_argument("--tau", type=float, default=None, help="trade-off parameter in [0, 1]")
     comp.add_argument("--unit", choices=("nats", "bits"), default="nats")
     comp.add_argument("--report", action="store_true", help="also print the maximizer and search diagnostics")
     comp.add_argument("--tolerance", type=float, default=None, help="search / capacity stopping tolerance")
 
     sweep = sub.add_parser("sweep", help="tabulate a parameter grid to CSV")
     sweep.add_argument("--channel", required=True)
-    sweep.add_argument("--alpha", type=_extended_list, required=True, metavar="LIST",
+    sweep.add_argument("--alpha", type=_float_list, required=True, metavar="LIST",
                        help="comma-separated alphas, 'inf' allowed")
     group = sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta", type=_extended_list, default=None, metavar="LIST",
+    group.add_argument("--beta", type=_float_list, default=None, metavar="LIST",
                        help="comma-separated betas, 'inf' allowed")
-    group.add_argument("--tau", type=_finite_list, default=None, metavar="LIST",
+    group.add_argument("--tau", type=_float_list, default=None, metavar="LIST",
                        help="comma-separated taus in [0, 1]")
     sweep.add_argument("--out", default=None, help="output CSV path (stdout when omitted)")
     sweep.add_argument("--tolerance", type=float, default=None)
@@ -226,6 +207,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _MONO_ALPHAS = (1.5, 2.0, 4.0)
 _MONO_BETAS = (1.0, 1.2, 1.5, 2.0, 4.0, math.inf)
 _DPI_ORDERS = (OrderPair(2.0, 1.5), OrderPair(4.0, 2.0), OrderPair(math.inf, 1.0), OrderPair(2.0, math.inf))
+_ADDITIVITY_ORDERS = (OrderPair(2.0, 3.0), OrderPair(3.0, 1.5), OrderPair(math.inf, math.inf))
+_GRID_ORDERS = (OrderPair(4.0, 2.0), OrderPair(2.0, 1.0))
+_DEFINITIONAL_ORDERS = (OrderPair(2.0, 2.0), OrderPair(2.0, 1.0))
 _TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 _TAU_ALPHAS = (1.5, 3.0)
 
@@ -240,26 +224,12 @@ def _random_channel(rng: np.random.Generator, n: int, m: int, allow_zeros: bool)
     return validate_channel(rows)
 
 
-def _slack_le(lhs: float, rhs: float) -> float:
-    """Signed violation of lhs <= rhs; infinities compare as equals."""
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0
-    if math.isinf(rhs):
-        return -math.inf
-    return lhs - rhs
-
-
-def _slack_eq(lhs: float, rhs: float) -> float:
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0
-    return abs(lhs - rhs)
-
-
 def _verify_battery(channels, rng, config, allow_zeros, search_tol):
     """Yield (name, worst_slack, pass_threshold) for every property.
 
     A property with nothing to check yields (name, None, reason) instead.
 
+    Each slack comes from one check of :mod:`chanleak.properties`.
     Search-backed inequalities pass at ``search_tol``; closed-form
     identities at 1e-9; the two cross-oracle rows carry the scale of
     their own truncation error (grid resolution, alpha offset). Several
@@ -272,117 +242,40 @@ def _verify_battery(channels, rng, config, allow_zeros, search_tol):
         return maximal_alpha_beta_leakage(channel, order, config).value.nats
 
     pairs = [OrderPair(a, b) for a in _MONO_ALPHAS for b in _MONO_BETAS]
-
-    # an infinite value gives -inf here, which never raises the maximum;
-    # 0.0 - value keeps a zero value's slack at +0.0
-    worst = max(0.0 - family(channel, pair) for channel in channels for pair in pairs)
-    yield "non-negativity", worst, search_tol
+    beta_runs = [[OrderPair(a, b) for b in _MONO_BETAS] for a in _MONO_ALPHAS]
+    tau_runs = [[alpha_tau_order(a, t) for t in reversed(_TAU_GRID)] for a in _TAU_ALPHAS]  # it falls as tau grows
+    alpha_runs = [[alpha_tau_order(a, t) for a in _TAU_ALPHAS] for t in _TAU_GRID]
 
     constant = validate_channel(np.tile(rng.dirichlet(np.ones(3)), (3, 1)))
-    worst = max(family(constant, pair) for pair in pairs)
-    yield "independence-zero", worst, search_tol
-
-    worst = -math.inf
-    for channel in channels:
-        for a in _MONO_ALPHAS:
-            run = [family(channel, OrderPair(a, b)) for b in _MONO_BETAS]
-            worst = max(worst, max(_slack_le(run[i], run[i + 1]) for i in range(len(run) - 1)))
-    yield "beta-monotonicity", worst, search_tol
-
-    worst = -math.inf
-    for channel in channels:
-        for a in _TAU_ALPHAS:
-            run = [family(channel, alpha_tau_order(a, t)) for t in _TAU_GRID]
-            worst = max(worst, max(_slack_le(run[i + 1], run[i]) for i in range(len(run) - 1)))
-    yield "tau-monotonicity", worst, search_tol
-
-    worst = -math.inf
-    for channel in channels:
-        for t in _TAU_GRID:
-            low, high = (family(channel, alpha_tau_order(a, t)) for a in _TAU_ALPHAS)
-            worst = max(worst, _slack_le(low, high))
-    yield "tau-alpha-monotonicity", worst, search_tol
-
-    worst = -math.inf
+    processed = []
     for channel in channels:
         post = _random_channel(rng, channel.n_outputs, 3, allow_zeros)
         pre = _random_channel(rng, 3, channel.n_inputs, allow_zeros)
-        processed = (compose(channel, post), compose(pre, channel))
-        for pair in _DPI_ORDERS:
-            base = family(channel, pair)
-            for other in processed:
-                worst = max(worst, _slack_le(family(other, pair), base))
-    yield "data-processing", worst, search_tol
-
-    left = _random_channel(rng, 2, 2, allow_zeros)
-    right = _random_channel(rng, 2, 2, allow_zeros)
-    joint = product(left, right)
-    worst = -math.inf
-    for pair in (OrderPair(2.0, 3.0), OrderPair(3.0, 1.5), OrderPair(math.inf, math.inf)):
-        worst = max(worst, _slack_eq(family(joint, pair), family(left, pair) + family(right, pair)))
-    yield "additivity", worst, search_tol
-
-    worst = -math.inf
-    for channel in channels:
-        for a in (1.5, 2.0, 4.0):
-            worst = max(worst, _slack_eq(family(channel, OrderPair(a, a)), lrdp(channel, a).nats))
-    yield "lrdp-bridge", worst, 1e-9
-
-    worst = -math.inf
-    for channel in channels:
-        maxl = maximal_leakage(channel).nats
-        worst = max(worst, _slack_eq(family(channel, OrderPair(math.inf, 1.0)), maxl))
-        worst = max(worst, _slack_eq(lrdp_variant(channel, 1.0).nats, maxl))
-    yield "maxl-bridge", worst, 1e-9
-
-    worst = -math.inf
-    for channel in channels:
-        eps = ldp(channel).nats
-        worst = max(worst, _slack_eq(family(channel, OrderPair(math.inf, math.inf)), eps))
-        for a in (1.5, 3.0):
-            scaled = math.inf if math.isinf(eps) else a / (a - 1.0) * eps
-            worst = max(worst, _slack_eq(family(channel, OrderPair(a, math.inf)), scaled))
-    yield "ldp-bridge", worst, 1e-9
-
-    worst = -math.inf
-    for channel in channels:
-        point = SimplexPoint.from_weights(rng.dirichlet(np.ones(channel.n_inputs)))
-        for a, t in ((2.0, 0.5), (3.0, 1.0), (1.5, 0.25)):
-            order = alpha_tau_order(a, t)
-            for x_prime in range(channel.n_inputs):
-                direct = inner_objective(channel, x_prime, point, order)
-                if math.isinf(direct):
-                    continue
-                q = optimal_q_y(channel, x_prime, point, a, t)
-                saddle = variational_objective(channel, x_prime, point, q, a, t)
-                worst = max(worst, _slack_eq(saddle, direct))
-    yield "saddle-form", worst, 1e-9
-
+        processed.append((channel, (compose(channel, post), compose(pre, channel))))
+    halves = (_random_channel(rng, 2, 2, allow_zeros), _random_channel(rng, 2, 2, allow_zeros))
+    points = [(channel, SimplexPoint.from_weights(rng.dirichlet(np.ones(channel.n_inputs)))) for channel in channels]
+    small = _random_channel(rng, 2, 2, allow_zeros)
     reachable = [channel for channel in channels if channel.n_inputs <= 4]
-    if reachable:
-        worst = -math.inf
-        for channel in reachable:
-            for pair in (OrderPair(4.0, 2.0), OrderPair(2.0, 1.0)):
-                grid = oracle.grid_search_inner(channel, pair, 200).nats
-                worst = max(worst, _slack_eq(family(channel, pair), grid))
-        yield "grid-oracle", worst, 5e-4  # grid truncation at resolution 200 nears 3e-4 at low-mass optima
+
+    yield "non-negativity", properties.non_negativity(family, channels, pairs), search_tol
+    yield "independence-zero", properties.independence_zero(family, [constant], pairs), search_tol
+    yield "beta-monotonicity", properties.nondecreasing(family, channels, beta_runs), search_tol
+    yield "tau-monotonicity", properties.nondecreasing(family, channels, tau_runs), search_tol
+    yield "tau-alpha-monotonicity", properties.nondecreasing(family, channels, alpha_runs), search_tol
+    yield "data-processing", properties.data_processing(family, processed, _DPI_ORDERS), search_tol
+    yield "additivity", properties.additivity(family, [halves], _ADDITIVITY_ORDERS), search_tol
+    yield "lrdp-bridge", properties.lrdp_bridge(family, channels, (1.5, 2.0, 4.0)), 1e-9
+    yield "maxl-bridge", properties.maxl_bridge(family, channels), 1e-9
+    yield "ldp-bridge", properties.ldp_bridge(family, channels, (1.5, 3.0)), 1e-9
+    yield "saddle-form", properties.saddle_form(points), 1e-9
+    if reachable:  # grid truncation at resolution 200 nears 3e-4 at low-mass optima
+        yield "grid-oracle", properties.grid_oracle(family, reachable, _GRID_ORDERS, 200), 5e-4
     else:
         yield "grid-oracle", None, "every channel has more than 4 inputs"
-
-    small = _random_channel(rng, 2, 2, allow_zeros)
-    worst = -math.inf
-    for pair in (OrderPair(2.0, 2.0), OrderPair(2.0, 1.0)):
-        bound = oracle.definitional_leakage(small, pair, px_grid=15, shatter_cap=5).nats
-        worst = max(worst, _slack_le(bound, family(small, pair) + 1e-9))
-    yield "definitional-lower-bound", worst, search_tol
-
-    channel = channels[0]
-    low_alpha = family(channel, OrderPair(1.0 + 1e-3, 1.0))
-    capacity = maximize_information(channel.matrix, OptimizerConfig())
-    # an uncertified capacity proves nothing, so it fails the check
-    certified = capacity.converged and not math.isinf(low_alpha)
-    slack = abs(low_alpha - capacity.value) if certified else math.inf
-    yield "capacity-limit", slack, 5e-3  # the alpha offset itself contributes at this scale
+    slack = properties.definitional_lower_bound(family, [small], _DEFINITIONAL_ORDERS, px_grid=15, shatter_cap=5)
+    yield "definitional-lower-bound", slack, search_tol
+    # the alpha offset itself contributes at this scale
+    yield "capacity-limit", properties.capacity_limit(family, channels[0]), 5e-3
 
 
 def cmd_verify(args: argparse.Namespace, error) -> int:
@@ -427,9 +320,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_verify(args, parser.error)
-    except ChanleakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ChanleakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -169,14 +169,31 @@ def validate_channel(
     return Channel(_stochastic(matrix, 2, tolerance, "channel matrix"), input_labels, output_labels)
 
 
+def _underflow_checked(matrix: np.ndarray, reached: np.ndarray, what: str) -> np.ndarray:
+    """``matrix``, refused where an entry that ``reached`` marks positive underflowed to 0.
+
+    Such an entry drops an output its input reaches, which can turn a
+    finite leakage value into +inf.
+    """
+    lost = reached & (matrix == 0.0)
+    if lost.any():
+        x, y = (int(i) for i in np.argwhere(lost)[0])
+        raise NumericalFailure(f"entry ({x}, {y}) of the {what} is positive but underflows to 0")
+    return matrix
+
+
 def compose(first: Channel, second: Channel) -> Channel:
-    """Cascade two channels: the output of ``first`` feeds ``second``."""
+    """Cascade two channels: the output of ``first`` feeds ``second``.
+
+    Raises NumericalFailure where an entry of the cascade underflows.
+    """
     if first.n_outputs != second.n_inputs:
         raise ShapeError(
             f"cannot compose: first has {first.n_outputs} outputs, second expects {second.n_inputs} inputs"
         )
+    reached = (first.matrix > 0.0) @ (second.matrix > 0.0)
     return Channel(
-        first.matrix @ second.matrix,
+        _underflow_checked(first.matrix @ second.matrix, reached, "composition"),
         input_labels=first.input_labels,
         output_labels=second.output_labels,
     )
@@ -189,9 +206,13 @@ def _paired_labels(a: tuple[str, ...] | None, b: tuple[str, ...] | None) -> tupl
 
 
 def product(first: Channel, second: Channel) -> Channel:
-    """Tensor (Kronecker) product channel acting on the product alphabets."""
+    """Tensor (Kronecker) product channel acting on the product alphabets.
+
+    Raises NumericalFailure where an entry of the product underflows.
+    """
+    reached = np.kron(first.matrix > 0.0, second.matrix > 0.0)
     return Channel(
-        np.kron(first.matrix, second.matrix),
+        _underflow_checked(np.kron(first.matrix, second.matrix), reached, "product"),
         input_labels=_paired_labels(first.input_labels, second.input_labels),
         output_labels=_paired_labels(first.output_labels, second.output_labels),
     )

@@ -45,6 +45,9 @@ __all__ = [
 _GRID_POINT_CAP = 2_000_000
 _DEFINITIONAL_EVAL_CAP = 5_000_000
 
+# a log entry of P lies in [-745, 0], so an order up to this times it stays finite
+_ORDER_CAP = np.finfo(float).max / 746.0
+
 
 @dataclass(frozen=True)
 class ShatterSpec:
@@ -94,11 +97,20 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def _log_outputs(mixtures: np.ndarray) -> np.ndarray:
-    """log of (K, m) output weights, laid out as (m, K) rows."""
-    out = np.empty(mixtures.shape[::-1])
+def _log_outputs(weights: np.ndarray, logP: np.ndarray, alpha: float) -> np.ndarray:
+    """log B of the (K, m) alpha-mixtures weights @ P^alpha, laid out as (m, K) rows.
+
+    Each column of P is scaled by its largest entry before the power, so
+    P^alpha does not underflow at large alpha:
+    log B = log(weights @ exp(alpha (log P - colmax))) + alpha colmax.
+    """
+    colmax = logP.max(axis=0)
+    colmax[np.isneginf(colmax)] = 0.0  # a column no input reaches keeps B = 0
+    out = np.empty((logP.shape[1], len(weights)))
     with np.errstate(divide="ignore"):
-        return np.log(mixtures.T, out=out)
+        np.log((weights @ np.exp(alpha * (logP - colmax))).T, out=out)
+    out += alpha * colmax[:, None]
+    return out
 
 
 def _power_sum_log(log_ref: np.ndarray, logB: np.ndarray, beta: float, ba: float) -> np.ndarray:
@@ -122,6 +134,8 @@ def _power_sum_log(log_ref: np.ndarray, logB: np.ndarray, beta: float, ba: float
 def _finite_order(order: OrderPair) -> tuple[float, float]:
     if order.alpha_infinite or order.beta_infinite:
         raise InvalidEntry("the oracle evaluates finite orders only; approach infinity with large finite values")
+    if max(order.alpha, order.beta) > _ORDER_CAP:
+        raise InvalidEntry(f"the oracle evaluates orders up to {_ORDER_CAP:.6e}, got {order!r}")
     return order.alpha, order.beta
 
 
@@ -146,10 +160,11 @@ def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> Le
         raise BudgetExceeded(f"{points} grid points exceed the cap {_GRID_POINT_CAP}")
 
     weights = _compositions(r, n) / r
-    logB = _log_outputs(weights @ channel.matrix**alpha)
     with np.errstate(divide="ignore"):
-        log_rows = np.log(channel.matrix)[:, :, None]  # each row as an (m, 1) reference
-    pref = alpha / ((alpha - 1.0) * beta)
+        logP = np.log(channel.matrix)
+    logB = _log_outputs(weights, logP, alpha)
+    log_rows = logP[:, :, None]  # each row as an (m, 1) reference
+    pref = alpha / (alpha - 1.0) / beta
     ba = beta / alpha
     best = -math.inf
     references = range(1) if beta == 1.0 else range(n)
@@ -169,6 +184,13 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
     the same family, see the module docstring). The maximum over
     everything is a certified lower bound on the family value that
     approaches it as both budgets grow.
+
+    The output-law references are the definition's own term; the channel
+    rows are its limits. By Jensen (t^(1-beta) is convex for beta > 1) a
+    tilt's sum against the output law is at most the input law's average
+    of its sums against the rows, so the rows dominate and the output-law
+    term never raises the bound. It stays so that this oracle evaluates
+    the definition itself, not only its limits.
     """
     alpha, beta = _finite_order(order)
     n, m = channel.n_inputs, channel.n_outputs
@@ -198,11 +220,12 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
     logt = logt - _logsumexp(logt, axis=1)[:, None]
     tilts = np.exp(logt)
 
-    logB = _log_outputs(tilts @ channel.matrix**alpha)
     with np.errstate(divide="ignore"):
-        log_rows = np.log(channel.matrix)[:, :, None]  # each row as an (m, 1) reference
+        logP = np.log(channel.matrix)
         log_py = np.log(px @ channel.matrix)
-    pref = alpha / ((alpha - 1.0) * beta)
+    logB = _log_outputs(tilts, logP, alpha)
+    log_rows = logP[:, :, None]  # each row as an (m, 1) reference
+    pref = alpha / (alpha - 1.0) / beta
     ba = beta / alpha
 
     # each tilt against the output law of the input law that induced it,

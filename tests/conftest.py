@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from chanleak import Channel
+from chanleak import Channel, maximal_alpha_beta_leakage
 
 # property tests replay the same examples on every run and keep no example
 # database; what hypothesis still writes (a cache of the test modules'
@@ -26,3 +26,8 @@ def bsc(p: float) -> Channel:
 def random_channel(rng: np.random.Generator, n_inputs: int, n_outputs: int) -> Channel:
     """Full-support channel with Dirichlet(1) rows."""
     return Channel(rng.dirichlet(np.ones(n_outputs), size=n_inputs))
+
+
+def family(channel: Channel, order, config=None) -> float:
+    """The family value in nats, in the form the checks of chanleak.properties read."""
+    return maximal_alpha_beta_leakage(channel, order, config).value.nats

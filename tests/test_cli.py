@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from chanleak import Channel, cli, measures, write_channel_csv
+from chanleak import Channel, cli, measures, properties, write_channel_csv
 
 
 def run_cli(*args, cwd=None):
@@ -113,11 +113,12 @@ class TestCompute:
             "--alpha", "1", "--beta", "2",
         )
         assert r.returncode == 2
-        r = run_cli(
-            "compute", "--channel", channels["bsc02"], "--measure", "alpha-tau",
-            "--alpha", "2", "--tau", "1.5",
-        )
-        assert r.returncode == 2
+        for tau in ("1.5", "inf"):
+            r = run_cli(
+                "compute", "--channel", channels["bsc02"], "--measure", "alpha-tau",
+                "--alpha", "2", "--tau", tau,
+            )
+            assert r.returncode == 2
 
     def test_infinite_tolerance_exits_two(self, channels):
         # an infinite tolerance would certify the start point's value
@@ -234,11 +235,12 @@ class TestSweep:
     def test_illegal_grid_entries_exit_two(self, channels, tmp_path):
         r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--beta", "0.5")
         assert r.returncode == 2
-        r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--tau", "2")
-        assert r.returncode == 2
+        for tau in ("2", "inf"):
+            r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--tau", tau)
+            assert r.returncode == 2
         # a bad last entry fails before any cell is solved or written
         out = tmp_path / "sweep.csv"
-        for grid in (("--beta", "1,2,0.5"), ("--tau", "0,0.5,2")):
+        for grid in (("--beta", "1,2,0.5"), ("--tau", "0,0.5,2"), ("--tau", "0,0.5,inf")):
             r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2,4", *grid, "--out", str(out))
             assert r.returncode == 2
             assert r.stdout == ""
@@ -272,6 +274,15 @@ class TestVerify:
         for line in lines[:-1]:
             assert re.fullmatch(r"[a-z-]+\s+(PASS|FAIL)\s+worst_slack=-?\d\.\d{3}e[-+]\d+", line)
         assert lines[-1] == "14 of 14 properties passed"
+
+    def test_property_names_in_order(self, capsys):
+        assert cli.main(["verify", "--random", "1", "--seed", "5"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert names == [
+            "non-negativity", "independence-zero", "beta-monotonicity", "tau-monotonicity",
+            "tau-alpha-monotonicity", "data-processing", "additivity", "lrdp-bridge", "maxl-bridge",
+            "ldp-bridge", "saddle-form", "grid-oracle", "definitional-lower-bound", "capacity-limit",
+        ]
 
     def test_constant_channel_passes_everything(self, channels):
         r = run_cli("verify", "--channel", channels["const"], "--seed", "3")
@@ -311,12 +322,12 @@ class TestVerify:
         assert len(set(solved)) == len(solved)
 
     def test_uncertified_capacity_fails_its_check(self, monkeypatch, capsys):
-        solve = cli.maximize_information
+        solve = properties.maximize_information
 
         def capped(matrix, config):
             return dataclasses.replace(solve(matrix, config), converged=False)
 
-        monkeypatch.setattr(cli, "maximize_information", capped)
+        monkeypatch.setattr(properties, "maximize_information", capped)
         assert cli.main(["verify", "--random", "1", "--seed", "5"]) == 1
         out = capsys.readouterr().out
         assert re.search(r"^capacity-limit +FAIL  worst_slack=inf$", out, re.MULTILINE)

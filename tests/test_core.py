@@ -222,6 +222,14 @@ class TestCompose:
         out = compose(a, b)
         assert out.input_labels == ("u", "v") and out.output_labels == ("s", "t")
 
+    def test_an_entry_that_underflows_is_refused(self):
+        # (0, 0) is 1e-300 * 1e-300 > 0, which rounds to 0: the cascade
+        # would miss an output input 0 reaches, and leak +inf at beta > 1
+        tiny = Channel(np.array([[1e-300, 1.0 - 1e-300], [0.5, 0.5]]))
+        with pytest.raises(NumericalFailure, match=r"entry \(0, 0\) of the composition .* underflows to 0"):
+            compose(tiny, Channel(np.array([[1e-300, 1.0 - 1e-300], [0.0, 1.0]])))
+        np.testing.assert_array_equal(compose(tiny, Channel(np.eye(2))).matrix, tiny.matrix)
+
 
 class TestProduct:
     def test_identities_tensor_to_identity(self):
@@ -251,6 +259,12 @@ class TestProduct:
         b = Channel(np.eye(2), input_labels=["a", "b"])
         assert product(a, b).input_labels == ("0,a", "0,b", "1,a", "1,b")
         assert product(a, b).output_labels is None
+
+    def test_an_entry_that_underflows_is_refused(self):
+        tiny = Channel(np.array([[1e-300, 1.0 - 1e-300]]))
+        with pytest.raises(NumericalFailure, match=r"entry \(0, 0\) of the product .* underflows to 0"):
+            product(tiny, tiny)
+        assert product(tiny, bsc(0.5)).matrix[0, 0] == 5e-301
 
 
 class TestPushForward:

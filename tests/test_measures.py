@@ -1,5 +1,6 @@
 """Leakage measures: frozen anchors, dispatch equalities, zero conventions."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -33,10 +34,10 @@ from chanleak import (
     shannon_capacity,
     variational_objective,
 )
-from chanleak import measures
+from chanleak import measures, properties
 from chanleak._logdomain import logsumexp
 from chanleak.optim import maximize_information
-from conftest import bsc, random_channel
+from conftest import bsc, family, random_channel
 
 LOG4 = math.log(4.0)
 
@@ -81,17 +82,13 @@ class TestFrozenAnchors:
 class TestDispatchEqualities:
     def test_both_infinite_is_ldp(self):
         rng = np.random.default_rng(10)
-        for _ in range(5):
-            ch = random_channel(rng, 3, 4)
-            result = maximal_alpha_beta_leakage(ch, OrderPair(math.inf, math.inf))
-            assert result.value.nats == pytest.approx(ldp(ch).nats, abs=1e-12)
+        channels = [random_channel(rng, 3, 4) for _ in range(5)]
+        assert properties.ldp_bridge(family, channels, ()) <= 1e-12
 
     def test_alpha_infinite_beta_one_is_maximal_leakage(self):
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            ch = random_channel(rng, 4, 3)
-            result = maximal_alpha_beta_leakage(ch, OrderPair(math.inf, 1.0))
-            assert result.value.nats == pytest.approx(maximal_leakage(ch).nats, abs=1e-13)
+        channels = [random_channel(rng, 4, 3) for _ in range(5)]
+        assert properties.maxl_bridge(family, channels) <= 1e-13
 
     def test_alpha_infinite_finite_beta_direct_sum(self):
         rng = np.random.default_rng(12)
@@ -108,17 +105,12 @@ class TestDispatchEqualities:
     def test_beta_infinite_scales_ldp(self):
         rng = np.random.default_rng(13)
         ch = random_channel(rng, 3, 3)
-        for alpha in (1.5, 2.0, 4.0):
-            result = maximal_alpha_beta_leakage(ch, OrderPair(alpha, math.inf))
-            expected = (alpha / (alpha - 1.0)) * ldp(ch).nats
-            assert result.value.nats == pytest.approx(expected, abs=1e-12)
+        assert properties.ldp_bridge(family, [ch], (1.5, 2.0, 4.0)) <= 1e-12
 
     def test_beta_at_alpha_matches_lrdp(self):
         rng = np.random.default_rng(14)
         for alpha in (1.5, 2.0, 4.0):
-            ch = random_channel(rng, 3, 4)
-            result = maximal_alpha_beta_leakage(ch, OrderPair(alpha, alpha))
-            assert result.value.nats == pytest.approx(lrdp(ch, alpha).nats, abs=1e-13)
+            assert properties.lrdp_bridge(family, [random_channel(rng, 3, 4)], (alpha,)) <= 1e-13
 
     def test_beta_above_alpha_vertex_enumeration(self):
         # closed form over input pairs, re-derived here directly
@@ -236,15 +228,16 @@ class TestZeroConventions:
 
     def test_constant_channel_leaks_nothing(self):
         constant = Channel(np.array([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]]))
-        for pair in (
+        pairs = (
             OrderPair(2.0, 1.0),
             OrderPair(2.0, 2.0),
             OrderPair(4.0, 2.0),
             OrderPair(math.inf, math.inf),
             OrderPair(math.inf, 1.0),
             OrderPair(1.5, math.inf),
-        ):
-            assert maximal_alpha_beta_leakage(constant, pair).value.nats == pytest.approx(0.0, abs=1e-9)
+        )
+        assert properties.independence_zero(family, [constant], pairs) <= 1e-9
+        assert properties.non_negativity(family, [constant], pairs) <= 1e-9
         assert shannon_capacity(constant).nats == pytest.approx(0.0, abs=1e-9)
 
 
@@ -353,13 +346,9 @@ class TestTauParameterization:
         rng = np.random.default_rng(22)
         ch = random_channel(rng, 3, 3)
         point = SimplexPoint.from_weights(rng.dirichlet(np.ones(3)))
-        for alpha, tau in ((2.0, 0.5), (3.0, 1.0), (1.5, 0.25)):
-            beta = alpha / (1.0 + tau * (alpha - 1.0))
-            for x_prime in range(3):
-                direct = inner_objective(ch, x_prime, point, OrderPair(alpha, beta))
-                q = optimal_q_y(ch, x_prime, point, alpha, tau)
-                saddle = variational_objective(ch, x_prime, point, q, alpha, tau)
-                assert saddle == pytest.approx(direct, abs=1e-12)
+        orders = [alpha_tau_order(alpha, tau) for alpha, tau in properties.SADDLE_ORDERS]
+        assert all(math.isfinite(inner_objective(ch, x, point, o)) for o in orders for x in range(3))  # none skipped
+        assert properties.saddle_form([(ch, point)]) <= 1e-12
 
     def test_optimal_q_is_the_minimizer(self):
         # the reference law enters as an infimum: any other law sits above
@@ -415,23 +404,16 @@ class TestMonotonicityOnOneChannel:
     def test_beta_monotone(self):
         rng = np.random.default_rng(24)
         ch = random_channel(rng, 3, 3)
-        config = OptimizerConfig(tolerance=1e-10)
-        values = [
-            maximal_alpha_beta_leakage(ch, OrderPair(2.0, b), config).value.nats
-            for b in (1.0, 1.2, 1.5, 2.0, 3.0, math.inf)
-        ]
-        for lo, hi in zip(values, values[1:]):
-            assert hi >= lo - 1e-9
+        run = [OrderPair(2.0, b) for b in (1.0, 1.2, 1.5, 2.0, 3.0, math.inf)]
+        tight = functools.partial(family, config=OptimizerConfig(tolerance=1e-10))
+        assert properties.nondecreasing(tight, [ch], [run]) <= 1e-9
 
     def test_tau_antitone(self):
+        # the family falls as tau grows: it rises along the reversed run
         rng = np.random.default_rng(25)
         ch = random_channel(rng, 3, 3)
-        values = [
-            alpha_tau_leakage(ch, 2.0, t).value.nats
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
-        for lo, hi in zip(values, values[1:]):
-            assert hi <= lo + 1e-9
+        run = [alpha_tau_order(2.0, t) for t in (1.0, 0.75, 0.5, 0.25, 0.0)]
+        assert properties.nondecreasing(family, [ch], [run]) <= 1e-9
 
 
 class TestCapacity:
@@ -504,9 +486,8 @@ class TestCapacity:
     def test_near_one_alpha_approaches_capacity(self):
         rng = np.random.default_rng(26)
         ch = random_channel(rng, 3, 3)
-        config = OptimizerConfig(tolerance=1e-8, max_iterations=20_000)
-        close = maximal_alpha_leakage(ch, 1.0 + 1e-3, config).value.nats
-        assert close == pytest.approx(shannon_capacity(ch).nats, abs=5e-3)
+        close = functools.partial(family, config=OptimizerConfig(tolerance=1e-8, max_iterations=20_000))
+        assert properties.capacity_limit(close, ch) <= 5e-3
 
 
 class TestArgumentChecking:
@@ -541,10 +522,8 @@ class TestArgumentChecking:
     def test_lrdp_is_the_family_at_alpha_alpha(self):
         # one prefactor: lrdp is the (alpha, alpha) member to the bit
         rng = np.random.default_rng(28)
-        for _ in range(10):
-            ch = random_channel(rng, 4, 3)
-            for alpha in (1.5, 2.0, 3.7, 4.0, 17.3, 1e3):
-                assert lrdp(ch, alpha).nats == maximal_alpha_beta_leakage(ch, OrderPair(alpha, alpha)).value.nats
+        channels = [random_channel(rng, 4, 3) for _ in range(10)]
+        assert properties.lrdp_bridge(family, channels, (1.5, 2.0, 3.7, 4.0, 17.3, 1e3)) == 0.0
 
     def test_capacity_tolerance_must_be_finite(self):
         with pytest.raises(InvalidEntry):
@@ -553,17 +532,16 @@ class TestArgumentChecking:
     def test_lrdp_variant_at_beta_one_is_maximal_leakage(self):
         rng = np.random.default_rng(27)
         ch = random_channel(rng, 3, 4)
-        assert lrdp_variant(ch, 1.0).nats == pytest.approx(maximal_leakage(ch).nats, abs=1e-13)
+        assert properties.maxl_bridge(family, [ch]) <= 1e-13
 
 
 class TestHugeOrders:
     def test_prefactor_does_not_overflow(self):
         # (alpha-1) beta overflows to inf here; the prefactor must not become 0
         channel = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        betas = (1.0, 1e199, 1e200, 3e200, math.inf)
-        values = [maximal_alpha_beta_leakage(channel, OrderPair(1e200, b)).value.nats for b in betas]
-        assert all(later >= earlier - 1e-12 for earlier, later in zip(values, values[1:]))
-        assert values[2] == pytest.approx(lrdp(channel, 1e200).nats, abs=1e-12)
+        run = [OrderPair(1e200, b) for b in (1.0, 1e199, 1e200, 3e200, math.inf)]
+        assert properties.nondecreasing(family, [channel], [run]) <= 1e-12
+        assert properties.lrdp_bridge(family, [channel], (1e200,)) <= 1e-12
 
     def test_huge_beta_against_a_tiny_entry_stays_finite(self):
         # beta log P overflows at 1e306 against log 1e-300; inf - inf once made
