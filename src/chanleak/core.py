@@ -5,6 +5,9 @@ output y given input x. Distributions are points on the probability
 simplex. All algebra is positional; labels are carried as metadata and are
 never consulted by any computation. Both pass one whole-array check, which
 stores a read-only copy of the input and leaves the caller's array alone.
+A channel also works out, the first time a measure reads it, a few facts
+of its matrix (its log, column and row extremes, and the first pair of
+inputs that makes the family +inf) and keeps them for its lifetime.
 """
 
 from __future__ import annotations
@@ -122,6 +125,32 @@ def _checked_labels(labels, count: int, what: str) -> tuple[str, ...] | None:
     return out
 
 
+class _fact:
+    """A channel's attribute that is worked out on its first read and then
+    kept in the instance dict, which a frozen dataclass leaves writable. An
+    array is made read-only, as the matrix is.
+
+    ``functools.cached_property`` does the same, but before Python 3.12 it
+    takes a lock on each first read, which doubles the cost of those reads,
+    and a single-use channel pays for several of them. Two threads may both
+    work out a fact; they store equal values.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, channel, owner=None):
+        if channel is None:
+            return self
+        value = self.compute(channel)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        channel.__dict__[self.name] = value
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """A row-stochastic matrix with optional alphabet labels.
@@ -150,6 +179,71 @@ class Channel:
 
     def row(self, x: int) -> np.ndarray:
         return self.matrix[x]
+
+    # Facts of the matrix for the measures, each worked out on its first read.
+
+    @_fact
+    def _log(self) -> np.ndarray:
+        """log P, -inf at the zero entries."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.matrix)
+
+    @_fact
+    def _col_max(self) -> np.ndarray:
+        """The largest entry of each column."""
+        return self.matrix.max(axis=0)
+
+    @_fact
+    def _col_min(self) -> np.ndarray:
+        """The least entry of each column."""
+        return self.matrix.min(axis=0)
+
+    @_fact
+    def _log_col_max(self) -> np.ndarray:
+        """The largest entry of each column of log P; -inf at an output no input reaches.
+
+        Taken from log P rather than as the log of :attr:`_col_max`, as
+        ``np.log`` is not guaranteed monotone.
+        """
+        return self._log.max(axis=0)
+
+    @_fact
+    def _log_col_min(self) -> np.ndarray:
+        """The least entry of each column of log P."""
+        return self._log.min(axis=0)
+
+    @_fact
+    def _reached(self) -> np.ndarray:
+        """Which outputs some input reaches."""
+        return self._log_col_max > -np.inf
+
+    @_fact
+    def _log_row_max(self) -> np.ndarray:
+        """The largest entry of each row of log P; a row always reaches some output."""
+        return self._log.max(axis=1)
+
+    @_fact
+    def _log_row_min(self) -> np.ndarray:
+        """The least entry of each row of log P over the outputs some input reaches."""
+        return np.minimum.reduce(self._log, axis=1, where=self._reached, initial=np.inf)
+
+    @_fact
+    def _infinite_pair(self) -> tuple[int, int] | None:
+        """The first pair (x', x) in row-major order such that x reaches an output x' misses.
+
+        At beta > 1 such a pair makes the family +inf in every branch. None
+        when no column mixes zero and positive entries.
+        """
+        zero = self.matrix == 0.0
+        differs = zero != zero[0]
+        if not differs.any():
+            return None
+        # x' is the first row with a zero in a column that mixes zero and
+        # positive entries, and x the first row positive in one of those columns of x'
+        missed = zero & differs.any(axis=0)
+        i = int(np.argmax(np.logical_or.reduce(missed, axis=1)))
+        j = int(np.argmax(np.logical_or.reduce(~zero[:, missed[i]], axis=1)))
+        return i, j
 
 
 def validate_channel(

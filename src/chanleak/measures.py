@@ -36,12 +36,24 @@ power form ranks every pair with one row-shifted matrix product and
 passes to ``_power_table`` only the pairs that the product's a-priori
 error bound cannot rule out, and the sup log ratio (its beta = inf edge)
 is the largest column range of log P, with its witness sought only in
-the columns that attain it. Both return the value and the first
-maximizing pair in row-major order that ``_power_table`` over all pairs
-gives, bit for bit. Two places keep their own rule on purpose: the solver in
-:mod:`chanleak.optim` works in the linear domain, and
-:mod:`chanleak.oracle` stays independent of this module so that its
-agreement with the fast paths is evidence.
+the columns that attain it. As rounding is monotone, in such a column
+the first x' of a pair at that ratio is the first whose distance below
+the column maximum rounds to the ratio, and its x the first whose
+distance above x' does: O(n) per column, and no n x n table. Both
+return the value and the first maximizing pair in row-major order that
+``_power_table`` over all pairs gives, bit for bit. Two places keep
+their own rule on purpose: the solver in :mod:`chanleak.optim` works in
+the linear domain, and :mod:`chanleak.oracle` stays independent of this
+module so that its agreement with the fast paths is evidence.
+
+What the measures read of a channel beyond its matrix, they read from
+facts that the :class:`~chanleak.core.Channel` works out on first use and
+keeps: log P, the column extremes of P and of log P, the row extremes of
+log P over the reached outputs, and the first pair that makes the value
++inf. Given those, the edges of the order square (``ldp``,
+``maximal_leakage``, the +inf dispatch and the sup log ratio) cost
+O(n + m) per call on a channel already used, and the other forms take
+no log or extreme of their own.
 
 Log-sum-exp is max-shifted; values are nats throughout.
 """
@@ -95,11 +107,6 @@ class MeasureResult:
     maximizing_x_prime: int
     maximizing_distribution: SimplexPoint | None = None
     report: OptimizerReport | None = None
-
-
-def _log_matrix(matrix: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(matrix)
 
 
 def _weights_argument(p, dim: int, what: str) -> np.ndarray:
@@ -179,13 +186,12 @@ def _log_mixture(logP: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _inner_arguments(channel: Channel, x_prime: int, p_tilde, alpha: float):
-    """The checked arguments of an inner evaluation: log P, its row x' and log B of ``p_tilde``."""
+    """The checked arguments of an inner evaluation: log P(.|x') and log B of ``p_tilde``."""
     x = int(x_prime)
     if not 0 <= x < channel.n_inputs:
         raise ShapeError(f"x_prime {x_prime} out of range for {channel.n_inputs} inputs")
     w = _weights_argument(p_tilde, channel.n_inputs, "p_tilde")
-    logP = _log_matrix(channel.matrix)
-    return logP, logP[x], _log_mixture(logP, w, alpha)
+    return channel._log[x], _log_mixture(channel._log, w, alpha)
 
 
 def _inner_log_sum(xp: np.ndarray, mix: np.ndarray, alpha: float, beta: float) -> float:
@@ -219,7 +225,7 @@ def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -
     if order.alpha_infinite or order.beta_infinite:
         raise InvalidEntry("inner_objective requires finite orders; infinite orders have closed forms")
     a, b = order.alpha, order.beta
-    _, xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
+    xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
     return _prefactor(a, b) * _inner_log_sum(xp, mix, a, b)
 
 
@@ -248,14 +254,14 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
     if order.beta > order.alpha:
         raise InvalidEntry(f"inner_gradient requires beta <= alpha, got {order.beta} > {order.alpha}")
     alpha, beta = order.alpha, order.beta
-    logP, xp, mix = _inner_arguments(channel, x_prime, p_tilde, alpha)
+    xp, mix = _inner_arguments(channel, x_prime, p_tilde, alpha)
     logS = _inner_log_sum(xp, mix, alpha, beta)
     if not math.isfinite(logS):
         raise NumericalFailure("inner objective is not differentiable at this point")
     reciprocal = _log_power(xp, beta - 1.0) + _log_power(mix, 1.0 - beta / alpha)
     with np.errstate(over="ignore"):
         # near a vertex the off-support entries blow up; +inf is the honest answer
-        gradient = np.exp(_power_table(reciprocal[None, :], -1.0, logP, alpha)[0] - logS) / (alpha - 1.0)
+        gradient = np.exp(_power_table(reciprocal[None, :], -1.0, channel._log, alpha)[0] - logS) / (alpha - 1.0)
     if not np.all(np.isfinite(gradient)):
         raise NumericalFailure("inner objective is not differentiable at this point")
     return gradient
@@ -268,25 +274,7 @@ _UNDERFLOW_FLOOR = 2.0 ** -900
 _EPS = float(np.finfo(float).eps)
 
 
-def _first_infinite_pair(zero: np.ndarray) -> tuple[int, int] | None:
-    """The first pair (x', x) in row-major order such that x reaches an output x' misses.
-
-    ``zero`` marks the zero entries of the channel. At beta > 1 such a
-    pair makes the family +inf in every branch. None when no column mixes
-    zero and positive entries.
-    """
-    differs = zero != zero[0]
-    if not differs.any():
-        return None
-    # x' is the first row with a zero in a column that mixes zero and
-    # positive entries, and x the first row positive in one of those columns of x'
-    missed = zero & differs.any(axis=0)
-    i = int(np.argmax(np.logical_or.reduce(missed, axis=1)))
-    j = int(np.argmax(np.logical_or.reduce(~zero[:, missed[i]], axis=1)))
-    return i, j
-
-
-def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[float, int, int]:
+def _pairwise_power_form(channel: Channel, beta: float, pref: float) -> tuple[float, int, int]:
     """max over input pairs (x', x) of pref * log sum_y P(y|x')^(1-beta) P(y|x)^beta.
 
     Takes 1 < beta <= ``_HUGE_ORDER`` and a channel whose every column is
@@ -319,10 +307,10 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
       order is the first of all n^2 pairs. Usually it is 1 x 1; it has
       n^2 pairs only where that many tie or underflow.
     """
+    logP = channel._log
     m = logP.shape[1]
-    live = logP[:, logP[0] > -np.inf]
-    low = np.minimum.reduce(live, axis=1, keepdims=True)
-    high = np.maximum.reduce(live, axis=1, keepdims=True)
+    live = logP if channel._reached.all() else logP[:, channel._reached]
+    low, high = channel._log_row_min[:, None], channel._log_row_max[:, None]
     # the largest |log P|, as no entry exceeds 1 beyond rounding
     spread = -float(np.minimum.reduce(low, axis=None))
     with np.errstate(divide="ignore"):
@@ -339,32 +327,35 @@ def _pairwise_power_form(logP: np.ndarray, beta: float, pref: float) -> tuple[fl
     return float(exact[i, j]), int(rows[i]), int(cols[j])
 
 
-def _alpha_inf_form(logP: np.ndarray, beta: float):
+def _alpha_inf_form(channel: Channel, beta: float):
     """max over x' of (1/beta) * log sum_y P(y|x')^(1-beta) * max_x P(y|x)^beta."""
-    table = _power_table(logP, 1.0 - beta, logP.max(axis=0)[None, :], beta)
+    table = _power_table(channel._log, 1.0 - beta, channel._log_col_max[None, :], beta)
     i = int(np.argmax(table))
     return float(table[i, 0]) / beta, i
 
 
-def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
+def _pairwise_sup_log_ratio(channel: Channel) -> tuple[float, int, int]:
     """max over (x', x) of log max over y with P(y|x) > 0 of P(y|x) / P(y|x'), and its first pair.
 
     Takes a channel whose every column is all zero or all positive, which
     the dispatcher has settled. Since rounding is monotone the largest
     ratio is then the largest column range max_x log P - min_x log P, bit
-    for bit. Only a column whose range equals it can hold a pair at that
-    ratio, so only those columns' n x n difference tables are formed, one
-    at a time, to find the first such pair in row-major order.
+    for bit, and only a column whose range equals it can hold a pair at
+    that ratio. In such a column y an x' heads a pair at the ratio exactly
+    when fl(max_x log P(y|x) - log P(y|x')) equals it, and the first x of
+    its pair is the first with fl(log P(y|x) - log P(y|x')) equal to it:
+    O(n) per column, and the least of those pairs is the first in
+    row-major order.
     """
-    n = logP.shape[0]
-    columns = logP[:, logP[0] > -np.inf]
-    ranges = columns.max(axis=0) - columns.min(axis=0)
+    reached = channel._reached
+    ranges = channel._log_col_max[reached] - channel._log_col_min[reached]
     ratio = ranges.max()
-    hits = np.zeros((n, n), dtype=bool)
-    for y in np.flatnonzero(ranges == ratio):
-        hits |= columns[None, :, y] - columns[:, None, y] == ratio
-    i, j = divmod(int(np.argmax(hits)), n)
-    return float(ratio), i, j
+    pairs = []
+    for y in reached.nonzero()[0][ranges == ratio]:
+        column = channel._log[:, y]
+        x_prime = int(np.argmax(channel._log_col_max[y] - column == ratio))
+        pairs.append((x_prime, int(np.argmax(column - column[x_prime] == ratio))))
+    return float(ratio), *min(pairs)
 
 
 # Above this order, and only there, an order times log P can overflow, as
@@ -375,27 +366,29 @@ def _pairwise_sup_log_ratio(logP: np.ndarray) -> tuple[float, int, int]:
 _HUGE_ORDER = float(np.finfo(float).max) / 746.0
 
 
-def _leakage(logP: np.ndarray, alpha: float, beta: float,
+def _leakage(channel: Channel, alpha: float, beta: float,
              config: OptimizerConfig | None) -> tuple[float, int, int | None, OptimizerReport | None]:
-    """The dispatch of :func:`maximal_alpha_beta_leakage`, from the log of the channel matrix.
+    """The dispatch of :func:`maximal_alpha_beta_leakage`.
 
     Returns the value, x', the input of the point-mass witness (None when
     the optimum is not a point mass) and the solver's report.
     """
     alpha = math.inf if alpha > _HUGE_ORDER else alpha
-    if beta > 1.0:
-        pair = _first_infinite_pair(logP == -np.inf)
-        if pair is not None:
-            return math.inf, *pair, None
+    if beta > 1.0 and channel._infinite_pair is not None:
+        return math.inf, *channel._infinite_pair, None
     if beta < alpha < math.inf:
-        x_prime, report = maximize_power_sum(logP, alpha, beta, config or OptimizerConfig())
+        reached = channel._reached
+        # a copy even when every output is reached: its Fortran order fixes
+        # how the solver's matrix products accumulate, and so their bits
+        live, colmax = channel._log[:, reached], channel._log_col_max[reached]
+        x_prime, report = maximize_power_sum(live, colmax, alpha, beta, config or OptimizerConfig())
         return report.value, x_prime, None, report
     if beta > _HUGE_ORDER:
-        ratio, i, j = _pairwise_sup_log_ratio(logP)
+        ratio, i, j = _pairwise_sup_log_ratio(channel)
         return (ratio if math.isinf(alpha) else alpha / (alpha - 1.0) * ratio), i, j, None
     if math.isinf(alpha):
-        return *_alpha_inf_form(logP, beta), None, None
-    return *_pairwise_power_form(logP, beta, _prefactor(alpha, beta)), None
+        return *_alpha_inf_form(channel, beta), None, None
+    return *_pairwise_power_form(channel, beta, _prefactor(alpha, beta)), None
 
 
 def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
@@ -418,7 +411,7 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
     Non-convergence of the concave path is reported through
     ``result.report.converged``, never silently.
     """
-    value, x_prime, x, report = _leakage(_log_matrix(channel.matrix), order.alpha, order.beta, config)
+    value, x_prime, x, report = _leakage(channel, order.alpha, order.beta, config)
     if report is not None:
         point = report.maximizer
     else:
@@ -428,7 +421,7 @@ def maximal_alpha_beta_leakage(channel: Channel, order: OrderPair,
 
 def maximal_leakage(channel: Channel) -> LeakageValue:
     """log of the summed column maxima."""
-    return LeakageValue(math.log(float(channel.matrix.max(axis=0).sum())))
+    return LeakageValue(math.log(float(channel._col_max.sum())))
 
 
 def maximal_alpha_leakage(channel: Channel, alpha: float,
@@ -440,9 +433,8 @@ def maximal_alpha_leakage(channel: Channel, alpha: float,
 def ldp(channel: Channel) -> LeakageValue:
     """Worst-case log ratio between any two rows at any output, a reached
     column's max over its min; +inf on a structural zero opposite positive mass."""
-    high = channel.matrix.max(axis=0)
-    reached = high > 0.0
-    high, low = high[reached], channel.matrix.min(axis=0)[reached]
+    reached = channel._col_max > 0.0
+    high, low = channel._col_max[reached], channel._col_min[reached]
     if not low.all():
         return LeakageValue(math.inf)
     with np.errstate(over="ignore"):
@@ -456,7 +448,7 @@ def lrdp(channel: Channel, alpha: float) -> LeakageValue:
     order = OrderPair(alpha, alpha)
     if order.alpha_infinite:
         raise InvalidEntry("the infinite order is served by ldp")
-    return LeakageValue(_leakage(_log_matrix(channel.matrix), order.alpha, order.beta, None)[0])
+    return LeakageValue(_leakage(channel, order.alpha, order.beta, None)[0])
 
 
 def lrdp_variant(channel: Channel, beta: float) -> LeakageValue:
@@ -464,7 +456,7 @@ def lrdp_variant(channel: Channel, beta: float) -> LeakageValue:
     order = OrderPair(math.inf, beta)
     if order.beta_infinite:
         raise InvalidEntry("the infinite order is served by ldp")
-    return LeakageValue(_leakage(_log_matrix(channel.matrix), order.alpha, order.beta, None)[0])
+    return LeakageValue(_leakage(channel, order.alpha, order.beta, None)[0])
 
 
 def _checked_alpha_tau(alpha: float, tau: float) -> tuple[float, float]:
@@ -508,7 +500,7 @@ def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
     """
     a, t = _checked_alpha_tau(alpha, tau)
     # the sum over x is the alpha-mixture B(y), leaving a power sum over y
-    _, xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
+    xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
     q = _weights_argument(q_y, channel.n_outputs, "q_y")
     with np.errstate(divide="ignore"):
         logq = np.log(q)
@@ -527,9 +519,9 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
     a, t = _checked_alpha_tau(alpha, tau)
     if t == 0.0:
         raise InvalidEntry("tau must be positive here: at tau = 0 the objective does not depend on q")
-    logP, xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
+    xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
     ref_exp = (1.0 - t) * (1.0 - a)  # <= 0, zero exactly at tau = 1
-    if ref_exp != 0.0 and np.any(np.isneginf(xp) & ~np.all(np.isneginf(logP), axis=0)):
+    if ref_exp != 0.0 and np.any(np.isneginf(xp) & channel._reached):
         raise DegenerateInput(
             "reference row has a structural zero at a reachable output; the minimizing output law degenerates"
         )

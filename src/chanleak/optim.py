@@ -116,11 +116,12 @@ def _prefactor(alpha: float, beta: float) -> float:
     return alpha / (alpha - 1.0) / beta
 
 
-def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
+def maximize_power_sum(logP: np.ndarray, colmax: np.ndarray, alpha: float, beta: float,
                        config: OptimizerConfig) -> tuple[int, OptimizerReport]:
     """Maximize the family's inner expression over x' and p, for finite beta < alpha.
 
-    ``logP`` is the log of the channel matrix. At beta > 1 a zero entry in
+    ``logP`` is the log of the channel matrix over the outputs some input
+    reaches, and ``colmax`` its column maximum. At beta > 1 a zero entry in
     a column that some input reaches makes the value +inf, and
     :func:`chanleak.measures.maximal_alpha_beta_leakage` returns it, with
     its witness pair, without calling here. All reference inputs run at once
@@ -137,9 +138,6 @@ def maximize_power_sum(logP: np.ndarray, alpha: float, beta: float,
     reported value, never below the rounding of the bracket ends.
     Non-convergence is reported, never raised.
     """
-    colmax = logP.max(axis=0)
-    reached = colmax > -math.inf  # the outputs some input reaches
-    logP, colmax = logP[:, reached], colmax[reached]
     n, m = logP.shape
     c = beta / alpha
     pref = _prefactor(alpha, beta)

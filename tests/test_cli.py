@@ -311,9 +311,9 @@ class TestVerify:
         solved = []
         solve = measures.maximize_power_sum
 
-        def counting(logP, alpha, beta, config):
+        def counting(logP, colmax, alpha, beta, config):
             solved.append((logP.tobytes(), alpha, beta))
-            return solve(logP, alpha, beta, config)
+            return solve(logP, colmax, alpha, beta, config)
 
         monkeypatch.setattr(measures, "maximize_power_sum", counting)
         assert cli.main(["verify", "--random", "1", "--seed", "5"]) == 0

@@ -34,7 +34,7 @@ from chanleak import (
     shannon_capacity,
     variational_objective,
 )
-from chanleak import measures, properties
+from chanleak import core, measures, properties
 from chanleak._logdomain import logsumexp
 from chanleak.optim import maximize_information
 from conftest import bsc, family, random_channel
@@ -679,6 +679,35 @@ class TestPowerSumKernel:
         finally:
             tracemalloc.stop()
 
+    def test_edge_forms_on_a_used_channel_stay_within_a_quarter_of_its_matrix(self):
+        # once a channel has worked out its facts, these cost O(n + m): none
+        # of them builds an n x m array, as taking log P would
+        n = m = 200
+        rng = np.random.default_rng(2026)
+        dense = random_channel(rng, n, m)
+        matrix = rng.dirichlet(np.ones(m), size=n)
+        matrix[rng.random((n, m)) < 0.02] = 0.0
+        zeros = Channel(matrix / matrix.sum(axis=1, keepdims=True))
+        calls = {
+            "ldp": lambda: ldp(dense),
+            "maximal_leakage": lambda: maximal_leakage(dense),
+            "(2, inf)": lambda: maximal_alpha_beta_leakage(dense, OrderPair(2.0, math.inf)),
+            "(inf, inf)": lambda: maximal_alpha_beta_leakage(dense, OrderPair(math.inf, math.inf)),
+            "(2, 3) at +inf": lambda: maximal_alpha_beta_leakage(zeros, OrderPair(2.0, 3.0)),
+        }
+        for call in calls.values():
+            call()
+        assert math.isinf(calls["(2, 3) at +inf"]().value.nats)
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - before < n * m * 8 / 4, name
+        finally:
+            tracemalloc.stop()
+
 
 def _pairwise_channels():
     rng = np.random.default_rng(2027)
@@ -706,7 +735,8 @@ def _pairwise_channels():
 
 def _pairwise_reference(matrix, order):
     """The per-pair log-domain forms over all n^2 pairs and their first maximum in row-major order."""
-    logP = measures._log_matrix(matrix)
+    with np.errstate(divide="ignore"):
+        logP = np.log(matrix)
     a, b = order.alpha, order.beta
     if order.beta_infinite:
         table = measures._log_terms(logP, -1.0, logP, 1.0).max(axis=2)
@@ -748,3 +778,88 @@ class TestPairwiseForms:
         assert result.value.nats == math.log(0.5) - math.log(0.25)
         assert result.maximizing_x_prime == 0
         assert list(result.maximizing_distribution.weights) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("rows, log_column, pair", [
+        # log P(., 0) is -(1/4 + 2^-53), -7/4 and -(7/4 + 2^-52): the distance
+        # below the top of row 1, 3/2 - 2^-53, and that of row 2, the least
+        # entry, 3/2 + 2^-53, both round to 3/2, so x' is row 1
+        ([[0.7788007830714048, 0.22119921692859523],
+          [0.17377394345044514, 0.8262260565495548],
+          [0.17377394345044508, 0.8262260565495549]], [-(0.25 + 2.0**-53), -1.75, -(1.75 + 2.0**-52)], (1, 0)),
+        # log P(0, 0) sits one rounding below the top, log P(1, 0), yet its
+        # distance above log P(2, 0) rounds to the same, so x is row 0
+        ([[0.49999999999999994, 0.5], [0.5, 0.5], [1e-304, 1.0]], None, (2, 0)),
+    ])
+    def test_a_witness_that_rounds_to_the_ratio_counts(self, rows, log_column, pair):
+        matrix = np.array(rows)
+        with np.errstate(divide="ignore"):
+            logP = np.log(matrix)
+        if log_column is not None:  # the log this case needs
+            assert list(logP[:, 0]) == log_column
+        assert logP[0, 0] != logP[1, 0]
+        channel = Channel(matrix)
+        assert np.array_equal(channel.matrix, matrix)
+        order = OrderPair(math.inf, math.inf)
+        result = maximal_alpha_beta_leakage(channel, order)
+        value, i, j = _pairwise_reference(channel.matrix, order)
+        assert (i, j) == pair
+        assert result.value.nats == value
+        assert result.maximizing_x_prime == i
+        assert np.array_equal(result.maximizing_distribution.weights, np.eye(3)[j])
+
+
+FACT_CHANNELS = {
+    "dense": np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5], [0.7, 0.2, 0.1]]),
+    "dead columns": np.array([[0.6, 0.0, 0.4, 0.0], [0.1, 0.0, 0.9, 0.0], [0.3, 0.0, 0.7, 0.0]]),
+    "partial zeros": np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.3, 0.0, 0.7]]),
+    "duplicated rows": np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.6, 0.4, 0.0], [0.1, 0.9, 0.0]]),
+    "1 x m": np.array([[0.2, 0.3, 0.5]]),
+    "n x 1": np.ones((3, 1)),
+}
+FACT_CALLS = (
+    *(functools.partial(maximal_alpha_beta_leakage, order=OrderPair(a, b)) for a, b in (
+        (2.0, 3.0), (3.0, 3.0), (math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf),
+        (math.inf, 1.0), (2.0, 1.5), (1.01, 1e4))),
+    functools.partial(lrdp, alpha=2.0),
+    functools.partial(lrdp_variant, beta=2.0),
+    ldp,
+    maximal_leakage,
+)
+CHANNEL_FACTS = sorted(name for name, attr in vars(Channel).items() if isinstance(attr, core._fact))
+
+
+def _bits(result):
+    """A result's value, x' and distribution, as bits."""
+    if isinstance(result, LeakageValue):
+        return result.nats.hex()
+    point = result.maximizing_distribution
+    return result.value.nats.hex(), result.maximizing_x_prime, None if point is None else point.weights.tobytes()
+
+
+class TestChannelFacts:
+    """A channel works out its log matrix, extremes and +inf pair on first use, and keeps them."""
+
+    @pytest.mark.parametrize("name", FACT_CHANNELS)
+    def test_a_reused_channel_gives_what_a_fresh_one_does(self, name):
+        matrix = FACT_CHANNELS[name]
+        reused = Channel(matrix)
+        rng = np.random.default_rng(sorted(FACT_CHANNELS).index(name))
+        for _ in range(2):  # the first round fills the facts, the second only reads them
+            for k in rng.permutation(len(FACT_CALLS)):
+                assert _bits(FACT_CALLS[k](reused)) == _bits(FACT_CALLS[k](Channel(matrix))), k
+
+    def test_every_cached_array_is_read_only(self):
+        channel = Channel(FACT_CHANNELS["partial zeros"])
+        arrays = [getattr(channel, name) for name in CHANNEL_FACTS]
+        arrays = [value for value in arrays if isinstance(value, np.ndarray)]
+        assert len(arrays) == len(CHANNEL_FACTS) - 1  # all but the +inf pair
+        for value in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+
+    def test_facts_are_worked_out_only_when_read(self):
+        channel = Channel(FACT_CHANNELS["dense"])
+        assert not set(CHANNEL_FACTS) & set(vars(channel))
+        ldp(channel)
+        maximal_leakage(channel)
+        assert set(CHANNEL_FACTS) & set(vars(channel)) == {"_col_max", "_col_min"}

@@ -279,3 +279,14 @@ def test_the_oracle_imports_neither_measures_nor_optim():
             imported.update(alias.name for alias in node.names)
     assert "core" in imported  # the walk sees the module's imports
     assert not imported & {"measures", "optim"}
+
+
+def test_the_oracle_reads_no_fact_a_channel_keeps():
+    # nor the log matrix, extremes or +inf pair that a Channel keeps for
+    # the fast paths: the oracles work out what they need themselves
+    facts = {name for name, attr in vars(Channel).items() if isinstance(attr, chanleak.core._fact)}
+    tree = ast.parse(Path(chanleak.oracle.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert "_log" in facts and "matrix" in read  # the walk sees the facts and the module's reads
+    assert not read & facts
