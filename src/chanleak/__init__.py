@@ -45,7 +45,7 @@ from .measures import (
     variational_objective,
 )
 from .optim import OptimizerConfig, OptimizerReport
-from .oracle import ShatterSpec, definitional_leakage, estimator_gain_denominator, grid_search_inner
+from .oracle import definitional_leakage, grid_search_inner
 
 __version__ = "0.1.0"
 
@@ -83,9 +83,7 @@ __all__ = [
     "shannon_capacity",
     "OptimizerConfig",
     "OptimizerReport",
-    "ShatterSpec",
     "grid_search_inner",
     "definitional_leakage",
-    "estimator_gain_denominator",
     "__version__",
 ]

@@ -177,9 +177,6 @@ class Channel:
     def n_outputs(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, x: int) -> np.ndarray:
-        return self.matrix[x]
-
     # Facts of the matrix for the measures, each worked out on its first read.
 
     @_fact
@@ -411,7 +408,15 @@ def read_channel_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> Channel:
 
 
 def write_channel_csv(channel: Channel, path) -> None:
-    """Write a channel as CSV with 17 significant digits (exact float round-trip)."""
+    """Write a channel as CSV with 17 significant digits (exact float round-trip).
+
+    The output labels go on a ``#`` header line, so each must read back as
+    itself: one that holds a comma or a line break, or has whitespace at
+    either end, is refused before the file is opened.
+    """
+    for label in channel.output_labels or ():
+        if label != label.strip() or any(mark in label for mark in ",\r\n"):
+            raise InvalidEntry(f"output label {label!r} would not read back from a CSV header")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if channel.output_labels is not None:
             handle.write("# " + ",".join(channel.output_labels) + "\n")

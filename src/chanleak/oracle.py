@@ -1,16 +1,17 @@
 """Brute-force ground truth, independent of the analytic machinery.
 
-Two layers. ``grid_search_inner`` exhaustively evaluates the inner
-expression over a dense rational grid on the mixture simplex, giving a
-certified lower bound that converges to the family value as the grid
-refines. ``definitional_leakage`` starts one level further back: it
-realizes the measure's operational definition by building an auxiliary
-variable U that determines the input X (each input x owns a block of
-|U_x| equally likely u values), solving the estimator maximizations in
-closed form, and scanning full-support input laws together with all
-block-size vectors. Both are deliberately written without reference to
-the optimizer or the dispatch logic in :mod:`chanleak.measures` so that
-agreement between the two is evidence, not tautology.
+The module's only public names are its two oracles. ``grid_search_inner``
+exhaustively evaluates the inner expression over a dense rational grid
+on the mixture simplex, giving a certified lower bound that converges to
+the family value as the grid refines. ``definitional_leakage`` starts
+one level further back: it realizes the measure's operational definition
+by building an auxiliary variable U that determines the input X (each
+input x owns a block of |U_x| equally likely u values), solving the
+estimator maximizations in closed form, and scanning full-support input
+laws together with all block-size vectors. Both are deliberately written
+without reference to the optimizer or the dispatch logic in
+:mod:`chanleak.measures` so that agreement between the two is evidence,
+not tautology.
 
 The block-size scan only reaches mixture weights of the form
 w(x) proportional to |U_x|^(1-alpha) P_X(x)^alpha, and capped sizes keep
@@ -19,27 +20,23 @@ family also contains the limit points where the output law collapses
 onto a single row. Those limits are therefore scanned explicitly (each
 channel row as reference, same mixture weights), keeping every reported
 value a true lower bound while letting fixed budgets reach the
-vertex-attained optima.
+vertex-attained optima. The tilt is computed in one place, inside
+``definitional_leakage``, and both oracles end in one shared scan of
+their mixtures against their references.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, LeakageValue, OrderPair, SimplexPoint
+from .core import Channel, LeakageValue, OrderPair
 from .errors import BudgetExceeded, InvalidEntry
 from ._logdomain import logsumexp as _logsumexp
 
-__all__ = [
-    "ShatterSpec",
-    "grid_search_inner",
-    "definitional_leakage",
-    "estimator_gain_denominator",
-]
+__all__ = ["grid_search_inner", "definitional_leakage"]
 
 # enumeration guards; exhaustive scans refuse to start past these
 _GRID_POINT_CAP = 2_000_000
@@ -47,34 +44,6 @@ _DEFINITIONAL_EVAL_CAP = 5_000_000
 
 # a log entry of P lies in [-745, 0], so an order up to this times it stays finite
 _ORDER_CAP = np.finfo(float).max / 746.0
-
-
-@dataclass(frozen=True)
-class ShatterSpec:
-    """Block sizes |U_x| for the input-determining auxiliary variable."""
-
-    sizes: tuple[int, ...]
-    total_cap: int = 64
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if len(sizes) == 0 or any(s < 1 for s in sizes):
-            raise InvalidEntry(f"every block size must be a positive integer, got {self.sizes!r}")
-        if sum(sizes) > self.total_cap:
-            raise BudgetExceeded(f"total block count {sum(sizes)} exceeds the cap {self.total_cap}")
-
-    def induced_tilt(self, p_x: SimplexPoint, alpha: float) -> SimplexPoint:
-        """The mixture weight vector w(x) proportional to |U_x|^(1-alpha) P_X(x)^alpha."""
-        a = float(alpha)
-        if not math.isfinite(a) or a <= 1.0:
-            raise InvalidEntry(f"alpha must be finite in (1, inf), got {alpha!r}")
-        if len(self.sizes) != len(p_x):
-            raise InvalidEntry(f"{len(self.sizes)} block sizes against {len(p_x)} input weights")
-        with np.errstate(divide="ignore"):
-            logt = (1.0 - a) * np.log(np.array(self.sizes, dtype=float)) + a * np.log(p_x.weights)
-        logt = logt - _logsumexp(logt)
-        return SimplexPoint.from_weights(np.exp(logt))
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -131,6 +100,27 @@ def _power_sum_log(log_ref: np.ndarray, logB: np.ndarray, beta: float, ba: float
     return _logsumexp(T, axis=0)
 
 
+def _best_value(references, weights: np.ndarray, logP: np.ndarray, alpha: float, beta: float) -> LeakageValue:
+    """The largest inner value of every mixture in ``weights`` against every reference.
+
+    Each reference is a log law of shape (m, 1), one for every mixture, or
+    (m, K), one per mixture. The prefactor alpha / ((alpha - 1) beta) is
+    positive, so it multiplies the largest log power sum once.
+    """
+    logB = _log_outputs(weights, logP, alpha)
+    ba = beta / alpha
+    best = -math.inf
+    for log_ref in references:
+        best = max(best, float(np.max(_power_sum_log(log_ref, logB, beta, ba))))
+    return LeakageValue(alpha / (alpha - 1.0) / beta * best)
+
+
+def _positive_int(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidEntry(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _finite_order(order: OrderPair) -> tuple[float, float]:
     if order.alpha_infinite or order.beta_infinite:
         raise InvalidEntry("the oracle evaluates finite orders only; approach infinity with large finite values")
@@ -149,9 +139,7 @@ def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> Le
     doubling chains is monotone.
     """
     alpha, beta = _finite_order(order)
-    r = int(resolution)
-    if r < 1:
-        raise InvalidEntry(f"resolution must be a positive integer, got {resolution!r}")
+    r = _positive_int(resolution, "resolution")
     n = channel.n_inputs
     if n > 4:
         raise BudgetExceeded(f"grid enumeration over {n} inputs explodes; 4 is the ceiling")
@@ -159,18 +147,11 @@ def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> Le
     if points > _GRID_POINT_CAP:
         raise BudgetExceeded(f"{points} grid points exceed the cap {_GRID_POINT_CAP}")
 
-    weights = _compositions(r, n) / r
     with np.errstate(divide="ignore"):
         logP = np.log(channel.matrix)
-    logB = _log_outputs(weights, logP, alpha)
-    log_rows = logP[:, :, None]  # each row as an (m, 1) reference
-    pref = alpha / (alpha - 1.0) / beta
-    ba = beta / alpha
-    best = -math.inf
-    references = range(1) if beta == 1.0 else range(n)
-    for x_prime in references:
-        best = max(best, pref * float(np.max(_power_sum_log(log_rows[x_prime], logB, beta, ba))))
-    return LeakageValue(best)
+    # each row as an (m, 1) reference; at beta = 1 the reference drops out
+    log_rows = logP[:1, :, None] if beta == 1.0 else logP[:, :, None]
+    return _best_value(log_rows, _compositions(r, n) / r, logP, alpha, beta)
 
 
 def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatter_cap: int) -> LeakageValue:
@@ -196,12 +177,10 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
     n, m = channel.n_inputs, channel.n_outputs
     if n > 3 or m > 3:
         raise BudgetExceeded(f"definitional scan is limited to 3x3 channels, got {n}x{m}")
-    gp = int(px_grid)
+    gp = _positive_int(px_grid, "px_grid")
     if gp < n:
         raise InvalidEntry(f"px_grid {px_grid!r} cannot carry a full-support law over {n} inputs")
-    sc = int(shatter_cap)
-    if sc < 1:
-        raise InvalidEntry(f"shatter_cap must be a positive integer, got {shatter_cap!r}")
+    sc = _positive_int(shatter_cap, "shatter_cap")
     n_px = math.comb(gp - 1, n - 1)
     n_sizes = sc**n
     if n_px * n_sizes * (n + 1) > _DEFINITIONAL_EVAL_CAP:
@@ -223,26 +202,9 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
     with np.errstate(divide="ignore"):
         logP = np.log(channel.matrix)
         log_py = np.log(px @ channel.matrix)
-    logB = _log_outputs(tilts, logP, alpha)
-    log_rows = logP[:, :, None]  # each row as an (m, 1) reference
-    pref = alpha / (alpha - 1.0) / beta
-    ba = beta / alpha
 
     # each tilt against the output law of the input law that induced it,
     # then the boundary limits: the output law collapsed onto one channel row
-    references = [np.repeat(log_py.T, len(sizes), axis=1), *log_rows]
-    best = -math.inf
-    for log_ref in references:
-        best = max(best, pref * float(np.max(_power_sum_log(log_ref, logB, beta, ba))))
-    return LeakageValue(best)
+    references = [np.repeat(log_py.T, len(sizes), axis=1), *logP[:, :, None]]
+    return _best_value(references, tilts, logP, alpha, beta)
 
-
-def estimator_gain_denominator(p_u, alpha: float) -> float:
-    """Closed form (sum_u P_U(u)^alpha)^(1/alpha) of the blind estimator's best gain."""
-    a = float(alpha)
-    if not math.isfinite(a) or a <= 1.0:
-        raise InvalidEntry(f"alpha must be finite in (1, inf), got {alpha!r}")
-    point = p_u if isinstance(p_u, SimplexPoint) else SimplexPoint.from_weights(p_u)
-    with np.errstate(divide="ignore"):
-        logp = np.log(point.weights)
-    return math.exp(_logsumexp(a * logp) / a)

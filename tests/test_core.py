@@ -1,6 +1,7 @@
 """Probability primitives: simplex points, channels, the channel algebra, CSV."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ class TestChannelCsv:
         write_channel_csv(ch, path)
         assert path.read_text().splitlines()[0] == "# yes,no"
         assert read_channel_csv(path).output_labels == ("yes", "no")
+
+    def test_labels_that_would_not_read_back_are_refused(self, tmp_path):
+        # product pairs labels with a comma, which a header cannot carry
+        paired = product(
+            Channel(np.eye(2), output_labels=["m", "n"]),
+            Channel(np.array([[0.5, 0.5], [0.2, 0.8]]), output_labels=["s", "t"]),
+        )
+        cases = [(paired, "'m,s'")]
+        cases += [(Channel(np.eye(2), output_labels=["yes", bad]), repr(bad)) for bad in (" no", "no ", "n\no", "n\ro")]
+        for k, (ch, named) in enumerate(cases):
+            path = tmp_path / f"ch{k}.csv"
+            with pytest.raises(InvalidEntry, match=re.escape(f"output label {named}")):
+                write_channel_csv(ch, path)
+            assert not path.exists()
 
     def test_non_numeric_token(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -15,10 +15,7 @@ from chanleak import (
     Channel,
     InvalidEntry,
     OrderPair,
-    ShatterSpec,
-    SimplexPoint,
     definitional_leakage,
-    estimator_gain_denominator,
     grid_search_inner,
     inner_objective,
     lrdp,
@@ -80,8 +77,12 @@ class TestGridSearch:
         assert fine >= coarse - 1e-12
 
     def test_resolution_validated(self):
-        with pytest.raises(InvalidEntry):
-            grid_search_inner(bsc(0.2), OrderPair(2.0, 1.0), 0)
+        # a resolution that is not an integer is refused, not truncated
+        for resolution in (0, -3, 20.9, 20.0, "20", None):
+            with pytest.raises(InvalidEntry, match="resolution must be a positive integer"):
+                grid_search_inner(bsc(0.2), OrderPair(2.0, 1.0), resolution)
+        exact = grid_search_inner(bsc(0.2), OrderPair(2.0, 1.0), 20).nats
+        assert grid_search_inner(bsc(0.2), OrderPair(2.0, 1.0), np.int64(20)).nats == exact
 
     def test_too_many_inputs_rejected(self):
         ch = Channel(np.full((5, 2), 0.5))
@@ -144,34 +145,6 @@ class TestLargeOrders:
             definitional_leakage(bsc(0.2), order, px_grid=10, shatter_cap=3)
 
 
-class TestShatterSpec:
-    def test_sizes_validated(self):
-        spec = ShatterSpec((1, 2, 3))
-        assert spec.sizes == (1, 2, 3)
-        with pytest.raises(InvalidEntry):
-            ShatterSpec((0, 2))
-        with pytest.raises(InvalidEntry):
-            ShatterSpec(())
-
-    def test_total_budget(self):
-        with pytest.raises(BudgetExceeded):
-            ShatterSpec((40, 40), total_cap=64)
-
-    def test_induced_tilt_hand_example(self):
-        # weights size^(1-alpha) * p^alpha at alpha=2, sizes (1,2), p uniform:
-        # (1/4, 1/8) normalizes to (2/3, 1/3)
-        tilt = ShatterSpec((1, 2)).induced_tilt(SimplexPoint.uniform(2), 2.0)
-        np.testing.assert_allclose(tilt.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-
-    def test_induced_tilt_dimension_checked(self):
-        with pytest.raises(InvalidEntry):
-            ShatterSpec((1, 2)).induced_tilt(SimplexPoint.uniform(3), 2.0)
-
-    def test_induced_tilt_alpha_checked(self):
-        with pytest.raises(InvalidEntry):
-            ShatterSpec((1, 2)).induced_tilt(SimplexPoint.uniform(2), math.inf)
-
-
 class TestDefinitional:
     def test_bsc_anchor_value(self):
         # deterministic scan, frozen: sits 5.69e-5 under the exact value
@@ -218,38 +191,12 @@ class TestDefinitional:
             definitional_leakage(bsc(0.2), OrderPair(2.0, 2.0), px_grid=10, shatter_cap=0)
         with pytest.raises(InvalidEntry):
             definitional_leakage(bsc(0.2), OrderPair(math.inf, 2.0), px_grid=10, shatter_cap=4)
-
-
-class TestGainDenominator:
-    def test_hand_anchor(self):
-        # (0.3^2 + 0.7^2)^(1/2) = sqrt(0.58)
-        value = estimator_gain_denominator(np.array([0.3, 0.7]), 2.0)
-        assert value == pytest.approx(0.7615773105863908, abs=1e-15)
-
-    def test_accepts_simplex_point(self):
-        value = estimator_gain_denominator(SimplexPoint.uniform(2), 2.0)
-        assert value == pytest.approx(math.sqrt(0.5), abs=1e-15)
-
-    def test_matches_variational_grid(self):
-        # the power mean is the maximum of sum p * q^((alpha-1)/alpha)
-        # over laws q, attained at q proportional to p^alpha
-        rng = np.random.default_rng(34)
-        p = rng.dirichlet(np.ones(2))
-        for alpha in (1.5, 2.0, 4.0):
-            direct = estimator_gain_denominator(p, alpha)
-            exponent = (alpha - 1.0) / alpha
-            # the maximand's curvature blows up near the corners, so the
-            # scan needs to be dense to certify 1e-6
-            ts = np.linspace(0.0, 1.0, 200_001)
-            grid = np.max(p[0] * ts**exponent + p[1] * (1.0 - ts) ** exponent)
-            assert grid <= direct + 1e-12
-            assert grid == pytest.approx(direct, abs=1e-6)
-
-    def test_alpha_validated(self):
-        with pytest.raises(InvalidEntry):
-            estimator_gain_denominator(np.array([0.5, 0.5]), 1.0)
-        with pytest.raises(InvalidEntry):
-            estimator_gain_denominator(np.array([0.5, 0.5]), math.inf)
+        # budgets that are not integers are refused, not truncated
+        for px_grid, shatter_cap in ((10.7, 4), (10.0, 4), ("10", 4), (10, 3.9), (10, "4"), (10, None)):
+            with pytest.raises(InvalidEntry, match="must be a positive integer"):
+                definitional_leakage(bsc(0.2), OrderPair(2.0, 2.0), px_grid=px_grid, shatter_cap=shatter_cap)
+        value = definitional_leakage(bsc(0.2), OrderPair(2.0, 2.0), px_grid=np.int64(10), shatter_cap=np.int32(4)).nats
+        assert value == definitional_leakage(bsc(0.2), OrderPair(2.0, 2.0), px_grid=10, shatter_cap=4).nats
 
 
 class TestOracleAgreement:

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, strategies as st
 
-from chanleak import Channel, NumericalFailure, OrderPair, compose, maximal_alpha_beta_leakage, product, properties
+from chanleak import (
+    Channel,
+    NumericalFailure,
+    OrderPair,
+    alpha_tau_leakage,
+    compose,
+    lrdp,
+    maximal_alpha_beta_leakage,
+    maximal_alpha_leakage,
+    product,
+    properties,
+)
 from conftest import family
 
 # zeros and entries near the smallest normal double sit beside ordinary weights
@@ -108,6 +119,47 @@ def test_relabelling_leaves_the_family(case):
                 assert abs(v - w) <= 1e-12 * max(1.0, abs(v))
             else:
                 assert abs(v - w) <= max(base.report.certified_gap, result.report.certified_gap)
+
+
+# the edges of the order square, on dense Dirichlet channels from a fixed seed:
+# each order's value approaches its edge's closed form linearly, so the
+# difference quotient is positive and barely moves as the step shrinks
+EDGES = pytest.mark.parametrize("width, alpha", [(w, a) for w in (4, 30) for a in (1.5, 2.0, 4.0)])
+
+
+def dirichlet_channel(width):
+    return Channel(np.random.default_rng(1).dirichlet(np.ones(width), size=width))
+
+
+@EDGES
+def test_beta_near_alpha_meets_the_pairwise_form(width, alpha):
+    channel = dirichlet_channel(width)
+    edge = lrdp(channel, alpha).nats
+    slopes = []
+    for e in (1e-6, 1e-9):
+        result = maximal_alpha_beta_leakage(channel, OrderPair(alpha, alpha * (1.0 - e)))
+        assert result.report.converged
+        assert result.value.nats <= edge + result.report.certified_gap
+        slopes.append((edge - result.value.nats) / e)
+    assert slopes[0] > 0.0 and slopes[1] == pytest.approx(slopes[0], rel=0.01)
+
+
+@EDGES
+def test_the_tau_slice_meets_the_pairwise_form_at_tau_zero(width, alpha):
+    channel = dirichlet_channel(width)
+    edge = lrdp(channel, alpha).nats
+    slopes = [(edge - alpha_tau_leakage(channel, alpha, t).value.nats) / t for t in (1e-6, 1e-9)]
+    assert slopes[0] > 0.0 and slopes[1] == pytest.approx(slopes[0], rel=0.01)
+
+
+@EDGES
+def test_the_tau_slice_meets_maximal_alpha_leakage_at_tau_one(width, alpha):
+    # the steps stop at 1 - tau = 1e-6, where the difference is still a
+    # thousand times the solver's tolerance of 1e-9
+    channel = dirichlet_channel(width)
+    edge = maximal_alpha_leakage(channel, alpha).value.nats
+    slopes = [(alpha_tau_leakage(channel, alpha, 1.0 - t).value.nats - edge) / t for t in (1e-3, 1e-6)]
+    assert slopes[0] > 0.0 and slopes[1] == pytest.approx(slopes[0], rel=0.01)
 
 
 @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]])
