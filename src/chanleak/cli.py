@@ -41,6 +41,7 @@ import numpy as np
 from . import properties
 from .core import (
     Channel,
+    LeakageValue,
     OrderPair,
     SimplexPoint,
     compose,
@@ -62,8 +63,6 @@ from .measures import (
 from .optim import OptimizerConfig, OptimizerReport, maximize_information
 
 __all__ = ["build_parser", "main"]
-
-_LN2 = math.log(2.0)
 
 MEASURES = ("abl", "maxl", "max-alpha-l", "ldp", "lrdp", "lrdp-variant", "alpha-tau", "capacity")
 
@@ -119,46 +118,41 @@ def _require(args: argparse.Namespace, parser_error, names: tuple[str, ...]) -> 
 
 
 def _evaluate_measure(channel: Channel, args: argparse.Namespace,
-                      error) -> tuple[float, MeasureResult | None, OptimizerReport | None]:
+                      error) -> tuple[LeakageValue, MeasureResult | None, OptimizerReport | None]:
     config = OptimizerConfig() if args.tolerance is None else OptimizerConfig(tolerance=args.tolerance)
     name = args.measure
     if name == "abl":
         _require(args, error, ("alpha", "beta"))
         result = maximal_alpha_beta_leakage(channel, OrderPair(args.alpha, args.beta), config)
-        return result.value.nats, result, result.report
+        return result.value, result, result.report
     if name == "maxl":
-        return maximal_leakage(channel).nats, None, None
+        return maximal_leakage(channel), None, None
     if name == "max-alpha-l":
         _require(args, error, ("alpha",))
         result = maximal_alpha_leakage(channel, args.alpha, config)
-        return result.value.nats, result, result.report
+        return result.value, result, result.report
     if name == "ldp":
-        return ldp(channel).nats, None, None
+        return ldp(channel), None, None
     if name == "lrdp":
         _require(args, error, ("alpha",))
-        return lrdp(channel, args.alpha).nats, None, None
+        return lrdp(channel, args.alpha), None, None
     if name == "lrdp-variant":
         _require(args, error, ("beta",))
-        return lrdp_variant(channel, args.beta).nats, None, None
+        return lrdp_variant(channel, args.beta), None, None
     if name == "alpha-tau":
         _require(args, error, ("alpha", "tau"))
         result = alpha_tau_leakage(channel, args.alpha, args.tau, config)
-        return result.value.nats, result, result.report
+        return result.value, result, result.report
     if name == "capacity":
         report = maximize_information(channel.matrix, config)
-        return report.value, None, report
+        return LeakageValue(report.value), None, report
     raise AssertionError(name)
-
-
-def _format_value(nats: float, unit: str) -> str:
-    value = nats / _LN2 if unit == "bits" else nats
-    return f"{value:.12f}"
 
 
 def cmd_compute(args: argparse.Namespace, error) -> int:
     channel = read_channel_csv(args.channel)
-    nats, result, report = _evaluate_measure(channel, args, error)
-    print(_format_value(nats, args.unit))
+    value, result, report = _evaluate_measure(channel, args, error)
+    print(f"{value.bits if args.unit == 'bits' else value.nats:.12f}")
     if args.report and result is not None:
         print(f"x_prime: {result.maximizing_x_prime}")
         if result.maximizing_distribution is not None:

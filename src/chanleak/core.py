@@ -8,6 +8,9 @@ stores a read-only copy of the input and leaves the caller's array alone.
 A channel also works out, the first time a measure reads it, a few facts
 of its matrix (its log, column and row extremes, and the first pair of
 inputs that makes the family +inf) and keeps them for its lifetime.
+The rules that the measures, the solver and the oracles share are written
+here once: the order above which an order times log P can overflow, the
+check of an integer budget, and log-sum-exp.
 """
 
 from __future__ import annotations
@@ -43,6 +46,49 @@ _TIGHT = 1e-12
 # Leakage values this far below zero are treated as round-off, anything
 # worse is a bug upstream.
 _NEGATIVE_ROUNDOFF = 1e-9
+
+_EPS = float(np.finfo(float).eps)
+
+# Above this order, and only there, an order times log P can overflow, as
+# every positive double has |log P| <= 745.
+_HUGE_ORDER = float(np.finfo(float).max) / 746.0
+
+
+def _finite_orders(what: str, *orders: float) -> None:
+    """Refuse an order that is infinite or above ``_HUGE_ORDER``.
+
+    For the evaluations that form an order times log P themselves; the
+    family serves those orders through the closed forms at inf.
+    """
+    if not max(orders) <= _HUGE_ORDER:
+        raise InvalidEntry(f"{what} evaluates finite orders up to {_HUGE_ORDER:.6e}, got {max(orders)!r}")
+
+
+def _positive_int(value, what: str) -> int:
+    """A budget or step count: an int or numpy integer of at least 1, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidEntry(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    """Max-shifted log-sum-exp; -inf entries drop out, +inf dominates.
+
+    Returns a float when ``axis`` is None, otherwise an array with that
+    axis reduced. All -inf slices reduce to -inf without warnings.
+    """
+    a = np.asarray(a, dtype=float)
+    # the ufunc reductions are np.max and np.sum without their wrappers,
+    # which cost more than the arithmetic on the small arrays served here;
+    # exp works in place, so a large input costs one temporary, not two
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = np.subtract(a, shift)
+        out = np.log(np.add.reduce(np.exp(terms, out=terms), axis=axis, keepdims=True)) + shift
+    if axis is None:
+        return float(out.reshape(()))
+    return out.squeeze(axis)
 
 
 def _stochastic(raw, ndim: int, tolerance: float, what: str) -> np.ndarray:
@@ -412,8 +458,11 @@ def write_channel_csv(channel: Channel, path) -> None:
 
     The output labels go on a ``#`` header line, so each must read back as
     itself: one that holds a comma or a line break, or has whitespace at
-    either end, is refused before the file is opened.
+    either end, is refused before the file is opened. The format has no
+    place for input labels, so a channel that carries them is refused too.
     """
+    if channel.input_labels is not None:
+        raise InvalidEntry(f"input labels {channel.input_labels!r} would not read back: a CSV holds output labels only")
     for label in channel.output_labels or ():
         if label != label.strip() or any(mark in label for mark in ",\r\n"):
             raise InvalidEntry(f"output label {label!r} would not read back from a CSV header")

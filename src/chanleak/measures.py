@@ -22,8 +22,10 @@ sum_y ref(y)^ref_exp num(y)^num_exp taken in the log domain. Two edges of
 the order square are settled once, in the dispatcher, for every branch.
 At beta > 1 a pair (x', x) where x reaches an output x' misses makes the
 value +inf, with x' and the point mass at x as witness. Above
-``_HUGE_ORDER``, where alone an order times log P can overflow, alpha is
-inf and a closed form takes its beta = inf form. The power-sum conventions
+:data:`chanleak.core._HUGE_ORDER`, where alone an order times log P can
+overflow, alpha is inf and a closed form takes its beta = inf form; the
+inner evaluations, which form an order times log P themselves, refuse
+such orders. The power-sum conventions
 of every evaluation are written once: ``_log_power`` takes 0^0 = 1 (at
 beta = 1 the reference row drops out) and leaves to IEEE arithmetic that
 a zero reference entry raised to a negative power yields +inf;
@@ -65,10 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, LeakageValue, OrderPair, SimplexPoint
+from .core import _EPS, _HUGE_ORDER, Channel, LeakageValue, OrderPair, SimplexPoint, _finite_orders, _logsumexp
 from .errors import DegenerateInput, InvalidEntry, NumericalFailure, ShapeError
 from .optim import OptimizerConfig, OptimizerReport, _prefactor, maximize_information, maximize_power_sum
-from ._logdomain import logsumexp as _logsumexp
 
 __all__ = [
     "MeasureResult",
@@ -213,8 +214,8 @@ def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -
     p_tilde : SimplexPoint or array-like
         Mixture weights over inputs. A raw vector is evaluated as given.
     order : OrderPair
-        Both orders must be finite here; the infinite orders are served
-        by their closed forms.
+        Both orders must be finite and at most ``_HUGE_ORDER`` (about
+        2.4e305) here; the family serves the others by its closed forms.
 
     Returns
     -------
@@ -222,9 +223,8 @@ def inner_objective(channel: Channel, x_prime: int, p_tilde, order: OrderPair) -
         The value in nats; +inf when a structural zero of the reference
         row meets positive mixture mass at beta > 1.
     """
-    if order.alpha_infinite or order.beta_infinite:
-        raise InvalidEntry("inner_objective requires finite orders; infinite orders have closed forms")
     a, b = order.alpha, order.beta
+    _finite_orders("inner_objective", a, b)
     xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
     return _prefactor(a, b) * _inner_log_sum(xp, mix, a, b)
 
@@ -249,11 +249,10 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
     it too; at beta == alpha, where B^0 = 1, x' reaching it adds its
     linear term.
     """
-    if order.alpha_infinite or order.beta_infinite:
-        raise InvalidEntry("inner_gradient requires finite orders")
-    if order.beta > order.alpha:
-        raise InvalidEntry(f"inner_gradient requires beta <= alpha, got {order.beta} > {order.alpha}")
     alpha, beta = order.alpha, order.beta
+    _finite_orders("inner_gradient", alpha, beta)
+    if beta > alpha:
+        raise InvalidEntry(f"inner_gradient requires beta <= alpha, got {beta} > {alpha}")
     xp, mix = _inner_arguments(channel, x_prime, p_tilde, alpha)
     logS = _inner_log_sum(xp, mix, alpha, beta)
     if not math.isfinite(logS):
@@ -271,7 +270,6 @@ def inner_gradient(channel: Channel, x_prime: int, p_tilde, order: OrderPair) ->
 # it, the subnormal summands a product may hold, each off by at most
 # 2^-1074, move it by less than m 2^-174 of itself.
 _UNDERFLOW_FLOOR = 2.0 ** -900
-_EPS = float(np.finfo(float).eps)
 
 
 def _pairwise_power_form(channel: Channel, beta: float, pref: float) -> tuple[float, int, int]:
@@ -358,20 +356,16 @@ def _pairwise_sup_log_ratio(channel: Channel) -> tuple[float, int, int]:
     return float(ratio), *min(pairs)
 
 
-# Above this order, and only there, an order times log P can overflow, as
-# every positive double has |log P| <= 745. A closed form at such a beta is
-# within alpha/(alpha-1) (log m + 745) / beta of its beta = inf form, and
-# the family at such an alpha within (log n + |its value|) / (alpha - 1)
-# of its alpha = inf form: far below one ulp of any value but 0.
-_HUGE_ORDER = float(np.finfo(float).max) / 746.0
-
-
 def _leakage(channel: Channel, alpha: float, beta: float,
              config: OptimizerConfig | None) -> tuple[float, int, int | None, OptimizerReport | None]:
     """The dispatch of :func:`maximal_alpha_beta_leakage`.
 
     Returns the value, x', the input of the point-mass witness (None when
-    the optimum is not a point mass) and the solver's report.
+    the optimum is not a point mass) and the solver's report. A closed
+    form at a beta above ``_HUGE_ORDER`` is within alpha/(alpha-1)
+    (log m + 745) / beta of its beta = inf form, and the family at such an
+    alpha within (log n + |its value|) / (alpha - 1) of its alpha = inf
+    form: far below one ulp of any value but 0.
     """
     alpha = math.inf if alpha > _HUGE_ORDER else alpha
     if beta > 1.0 and channel._infinite_pair is not None:
@@ -499,6 +493,7 @@ def variational_objective(channel: Channel, x_prime: int, p_tilde, q_y,
                         * (q(y)^tau P(y|x')^(1-tau))^(1-alpha)
     """
     a, t = _checked_alpha_tau(alpha, tau)
+    _finite_orders("variational_objective", a)  # beta <= alpha on the slice
     # the sum over x is the alpha-mixture B(y), leaving a power sum over y
     xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
     q = _weights_argument(q_y, channel.n_outputs, "q_y")
@@ -517,6 +512,7 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
     the objective does not depend on q).
     """
     a, t = _checked_alpha_tau(alpha, tau)
+    _finite_orders("optimal_q_y", a)  # beta <= alpha on the slice
     if t == 0.0:
         raise InvalidEntry("tau must be positive here: at tau = 0 the objective does not depend on q")
     xp, mix = _inner_arguments(channel, x_prime, p_tilde, a)
@@ -526,8 +522,6 @@ def optimal_q_y(channel: Channel, x_prime: int, p_tilde, alpha: float, tau: floa
             "reference row has a structural zero at a reachable output; the minimizing output law degenerates"
         )
     logC = _log_terms(xp[None, :], ref_exp, mix[None, :], 1.0)[0, 0]
-    if np.all(np.isneginf(logC)):
-        raise DegenerateInput("every output weight C(y) vanished")
     scale = 1.0 / (1.0 + t * (a - 1.0))  # 1 / (1 - gamma)
     scaled = scale * logC
     logq = scaled - _logsumexp(scaled)
@@ -542,8 +536,6 @@ def shannon_capacity(channel: Channel, tolerance: float = 1e-9) -> LeakageValue:
     does not close within its step cap this raises NumericalFailure, naming
     the gap left; that function's report holds the open bracket.
     """
-    if not 0.0 < tolerance < math.inf:
-        raise InvalidEntry(f"tolerance must be positive and finite, got {tolerance!r}")
     report = maximize_information(channel.matrix, OptimizerConfig(tolerance=tolerance))
     if not report.converged:
         raise NumericalFailure(f"capacity bracket gap {report.certified_gap:.3e} exceeds the tolerance {tolerance:.3e}")

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimplexPoint
-from .errors import NumericalFailure, ShapeError
+from .core import _EPS, SimplexPoint, _positive_int
+from .errors import InvalidEntry, NumericalFailure
 
 __all__ = ["OptimizerConfig", "OptimizerReport", "maximize_information", "maximize_power_sum"]
 
@@ -55,7 +55,6 @@ _MARGIN = 1e-2
 # Bracket ends are logs of sums over n + m terms; differences below this
 # many units in the last place of them are rounding, never a certificate.
 _ROUNDING_ULPS = 4.0
-_EPS = float(np.finfo(float).eps)
 
 # Every weight stays above e^-600 times the largest, so each reached
 # output keeps a mixture far above underflow and B^(c-1) stays finite,
@@ -78,20 +77,20 @@ _MAX_HALVINGS = 20
 class OptimizerConfig:
     """Knobs for :func:`maximize_power_sum` and :func:`maximize_information`.
 
-    ``tolerance`` bounds the certified gap at exit; ``max_iterations``, an
-    integer, caps the number of steps, each one multiplicative step for
-    every row still in the race followed by one Newton step for each of
-    the rows that lead it.
+    ``tolerance``, positive and finite, bounds the certified gap at exit;
+    ``max_iterations``, a positive integer, caps the number of steps, each
+    one multiplicative step for every row still in the race followed by
+    one Newton step for each of the rows that lead it. Either out of range
+    raises InvalidEntry.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ShapeError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        _positive_int(self.max_iterations, "max_iterations")
         if not 0.0 < self.tolerance < math.inf:
-            raise ShapeError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+            raise InvalidEntry(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)

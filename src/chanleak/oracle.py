@@ -32,18 +32,14 @@ import math
 
 import numpy as np
 
-from .core import Channel, LeakageValue, OrderPair
+from .core import Channel, LeakageValue, OrderPair, _finite_orders, _logsumexp, _positive_int
 from .errors import BudgetExceeded, InvalidEntry
-from ._logdomain import logsumexp as _logsumexp
 
 __all__ = ["grid_search_inner", "definitional_leakage"]
 
 # enumeration guards; exhaustive scans refuse to start past these
 _GRID_POINT_CAP = 2_000_000
 _DEFINITIONAL_EVAL_CAP = 5_000_000
-
-# a log entry of P lies in [-745, 0], so an order up to this times it stays finite
-_ORDER_CAP = np.finfo(float).max / 746.0
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -115,20 +111,6 @@ def _best_value(references, weights: np.ndarray, logP: np.ndarray, alpha: float,
     return LeakageValue(alpha / (alpha - 1.0) / beta * best)
 
 
-def _positive_int(value, what: str) -> int:
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidEntry(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _finite_order(order: OrderPair) -> tuple[float, float]:
-    if order.alpha_infinite or order.beta_infinite:
-        raise InvalidEntry("the oracle evaluates finite orders only; approach infinity with large finite values")
-    if max(order.alpha, order.beta) > _ORDER_CAP:
-        raise InvalidEntry(f"the oracle evaluates orders up to {_ORDER_CAP:.6e}, got {order!r}")
-    return order.alpha, order.beta
-
-
 def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> LeakageValue:
     """Exhaustive maximum of the inner expression over the rational simplex grid.
 
@@ -138,7 +120,8 @@ def grid_search_inner(channel: Channel, order: OrderPair, resolution: int) -> Le
     whose resolution divides another's are nested, so refinement along
     doubling chains is monotone.
     """
-    alpha, beta = _finite_order(order)
+    alpha, beta = order.alpha, order.beta
+    _finite_orders("grid_search_inner", alpha, beta)
     r = _positive_int(resolution, "resolution")
     n = channel.n_inputs
     if n > 4:
@@ -173,7 +156,8 @@ def definitional_leakage(channel: Channel, order: OrderPair, px_grid: int, shatt
     term never raises the bound. It stays so that this oracle evaluates
     the definition itself, not only its limits.
     """
-    alpha, beta = _finite_order(order)
+    alpha, beta = order.alpha, order.beta
+    _finite_orders("definitional_leakage", alpha, beta)
     n, m = channel.n_inputs, channel.n_outputs
     if n > 3 or m > 3:
         raise BudgetExceeded(f"definitional scan is limited to 3x3 channels, got {n}x{m}")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from chanleak import Channel, cli, measures, properties, write_channel_csv
+from chanleak import Channel, cli, measures, properties, read_channel_csv, write_channel_csv
 
 
 def run_cli(*args, cwd=None):
@@ -63,6 +63,10 @@ class TestCompute:
         )
         b = run_cli("compute", "--channel", channels["bsc02"], "--measure", "lrdp", "--alpha", "2")
         assert a.stdout == b.stdout == "1.178654996342\n"
+        # the tau slice, at an interior tau where the search runs
+        r = run_cli("compute", "--channel", channels["asym33"], "--measure", "alpha-tau", "--alpha", "2", "--tau", "0.5")
+        expected = measures.alpha_tau_leakage(read_channel_csv(channels["asym33"]), 2.0, 0.5).value.nats
+        assert r.returncode == 0 and r.stdout == f"{expected:.12f}\n"
 
     def test_inf_literals_select_exact_variants(self, channels):
         both = run_cli(
@@ -76,6 +80,14 @@ class TestCompute:
         )
         maxl = run_cli("compute", "--channel", channels["bsc02"], "--measure", "maxl")
         assert at_one.stdout == maxl.stdout == "0.470003629246\n"
+        # the alpha = inf slice at finite beta is lrdp-variant
+        at_two = run_cli(
+            "compute", "--channel", channels["asym33"], "--measure", "abl",
+            "--alpha", "inf", "--beta", "2",
+        )
+        variant = run_cli("compute", "--channel", channels["asym33"], "--measure", "lrdp-variant", "--beta", "2")
+        expected = measures.lrdp_variant(read_channel_csv(channels["asym33"]), 2.0).nats
+        assert at_two.stdout == variant.stdout == f"{expected:.12f}\n"
 
     def test_capacity_digits(self, channels):
         r = run_cli("compute", "--channel", channels["bsc011"], "--measure", "capacity")
@@ -235,6 +247,9 @@ class TestSweep:
     def test_illegal_grid_entries_exit_two(self, channels, tmp_path):
         r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--beta", "0.5")
         assert r.returncode == 2
+        r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2,x", "--beta", "1")
+        assert r.returncode == 2
+        assert "expected comma-separated numbers, got '2,x'" in r.stderr
         for tau in ("2", "inf"):
             r = run_cli("sweep", "--channel", channels["bsc02"], "--alpha", "2", "--tau", tau)
             assert r.returncode == 2

@@ -357,11 +357,14 @@ class TestChannelCsv:
             Channel(np.eye(2), output_labels=["m", "n"]),
             Channel(np.array([[0.5, 0.5], [0.2, 0.8]]), output_labels=["s", "t"]),
         )
-        cases = [(paired, "'m,s'")]
-        cases += [(Channel(np.eye(2), output_labels=["yes", bad]), repr(bad)) for bad in (" no", "no ", "n\no", "n\ro")]
+        cases = [(paired, "output label 'm,s'")]
+        cases += [(Channel(np.eye(2), output_labels=["yes", bad]), f"output label {bad!r}")
+                  for bad in (" no", "no ", "n\no", "n\ro")]
+        # the format has no place for input labels at all
+        cases.append((Channel(np.eye(2), input_labels=["a", "b"], output_labels=["y", "z"]), "input labels ('a', 'b')"))
         for k, (ch, named) in enumerate(cases):
             path = tmp_path / f"ch{k}.csv"
-            with pytest.raises(InvalidEntry, match=re.escape(f"output label {named}")):
+            with pytest.raises(InvalidEntry, match=re.escape(named)):
                 write_channel_csv(ch, path)
             assert not path.exists()
 
@@ -379,9 +382,10 @@ class TestChannelCsv:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ShapeError):
-            read_channel_csv(path)
+        for text, problem in (("", "no rows found"), ("# a,b\n\n", "header but no rows")):
+            path.write_text(text)
+            with pytest.raises(ShapeError, match=problem):
+                read_channel_csv(path)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "gaps.csv"

@@ -35,7 +35,7 @@ from chanleak import (
     variational_objective,
 )
 from chanleak import core, measures, properties
-from chanleak._logdomain import logsumexp
+from chanleak.core import _logsumexp as logsumexp
 from chanleak.optim import maximize_information
 from conftest import bsc, family, random_channel
 
@@ -225,6 +225,9 @@ class TestZeroConventions:
         ch = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
         value = inner_objective(ch, 0, SimplexPoint.uniform(2), OrderPair(2.0, 2.0))
         assert math.isinf(value)
+        # S itself is +inf there, so the objective has no gradient
+        with pytest.raises(NumericalFailure, match="not differentiable"):
+            inner_gradient(ch, 0, SimplexPoint.uniform(2), OrderPair(4.0, 2.0))
 
     def test_constant_channel_leaks_nothing(self):
         constant = Channel(np.array([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]]))
@@ -496,12 +499,14 @@ class TestArgumentChecking:
             inner_objective(bsc(0.2), 2, SimplexPoint.uniform(2), OrderPair(2.0, 1.0))
 
     def test_weights_dimension(self):
-        with pytest.raises(ShapeError):
-            inner_objective(bsc(0.2), 0, SimplexPoint.uniform(3), OrderPair(2.0, 1.0))
+        for weights in (SimplexPoint.uniform(3), np.full((2, 2), 0.25)):
+            with pytest.raises(ShapeError):
+                inner_objective(bsc(0.2), 0, weights, OrderPair(2.0, 1.0))
 
     def test_weights_sign(self):
-        with pytest.raises(InvalidEntry):
-            inner_objective(bsc(0.2), 0, np.array([-0.5, 1.5]), OrderPair(2.0, 1.0))
+        for weights, problem in (([-0.5, 1.5], "finite and nonnegative"), ([0.0, 0.0], "no mass")):
+            with pytest.raises(InvalidEntry, match=problem):
+                inner_objective(bsc(0.2), 0, np.array(weights), OrderPair(2.0, 1.0))
 
     def test_infinite_orders_rejected_by_inner_objective(self):
         with pytest.raises(InvalidEntry):
@@ -581,6 +586,26 @@ class TestHugeOrders:
         assert maximal_alpha_beta_leakage(tiny, OrderPair(1e306, 2.0)).value.nats == 344.6946167685469
         assert maximal_alpha_beta_leakage(plain, OrderPair(1e308, 1e307)).value.nats == pytest.approx(
             math.log(8.0), rel=1e-15)
+
+    def test_inner_evaluations_refuse_orders_past_the_threshold(self):
+        # they form an order times log P themselves, which overflows there;
+        # the family above takes the inf forms instead
+        ch = Channel(np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]))
+        w, q = [0.5, 0.5], [0.3, 0.3, 0.4]
+        calls = (
+            lambda a: inner_objective(ch, 1, w, alpha_tau_order(a, 0.5)),
+            lambda a: inner_gradient(ch, 1, w, alpha_tau_order(a, 0.5)),
+            lambda a: variational_objective(ch, 1, w, q, a, 0.5),
+            lambda a: optimal_q_y(ch, 1, w, a, 0.5),
+        )
+        for call in calls:
+            call(2e305)
+            with pytest.raises(InvalidEntry, match="orders up to 2.409776e[+]305"):
+                call(1.7e308)
+        tiny = Channel(np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]]))
+        assert inner_objective(tiny, 0, w, OrderPair(2.0, 2e305)) == 1379.4716142547475
+        with pytest.raises(InvalidEntry, match="orders up to 2.409776e[+]305"):
+            inner_objective(tiny, 0, w, OrderPair(2.0, 1e306))
 
 
 class TestInfiniteWitness:

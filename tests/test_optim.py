@@ -5,10 +5,10 @@ import pytest
 
 from chanleak import (
     Channel,
+    InvalidEntry,
     OptimizerConfig,
     OptimizerReport,
     OrderPair,
-    ShapeError,
     SimplexPoint,
     alpha_tau_order,
     inner_objective,
@@ -90,16 +90,16 @@ class TestDeterministicSteps:
 
 class TestConfig:
     def test_bad_config_rejected(self):
-        for budget in (0, 1.5, float("nan"), float("inf")):
-            with pytest.raises(ShapeError):
+        for budget in (0, 1.5, float("nan"), float("inf"), True):
+            with pytest.raises(InvalidEntry):
                 OptimizerConfig(max_iterations=budget)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidEntry):
             OptimizerConfig(tolerance=0.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidEntry):
             OptimizerConfig(tolerance=-1e-9)
         # an infinite tolerance would certify the start point
         for tolerance in (float("inf"), float("nan")):
-            with pytest.raises(ShapeError):
+            with pytest.raises(InvalidEntry):
                 OptimizerConfig(tolerance=tolerance)
 
     def test_iteration_budget_reported_honestly(self):

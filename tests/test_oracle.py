@@ -78,7 +78,7 @@ class TestGridSearch:
 
     def test_resolution_validated(self):
         # a resolution that is not an integer is refused, not truncated
-        for resolution in (0, -3, 20.9, 20.0, "20", None):
+        for resolution in (0, -3, 20.9, 20.0, "20", None, True):
             with pytest.raises(InvalidEntry, match="resolution must be a positive integer"):
                 grid_search_inner(bsc(0.2), OrderPair(2.0, 1.0), resolution)
         exact = grid_search_inner(bsc(0.2), OrderPair(2.0, 1.0), 20).nats
@@ -192,7 +192,7 @@ class TestDefinitional:
         with pytest.raises(InvalidEntry):
             definitional_leakage(bsc(0.2), OrderPair(math.inf, 2.0), px_grid=10, shatter_cap=4)
         # budgets that are not integers are refused, not truncated
-        for px_grid, shatter_cap in ((10.7, 4), (10.0, 4), ("10", 4), (10, 3.9), (10, "4"), (10, None)):
+        for px_grid, shatter_cap in ((10.7, 4), (10.0, 4), ("10", 4), (10, 3.9), (10, "4"), (10, None), (True, 4), (10, True)):
             with pytest.raises(InvalidEntry, match="must be a positive integer"):
                 definitional_leakage(bsc(0.2), OrderPair(2.0, 2.0), px_grid=px_grid, shatter_cap=shatter_cap)
         value = definitional_leakage(bsc(0.2), OrderPair(2.0, 2.0), px_grid=np.int64(10), shatter_cap=np.int32(4)).nats
